@@ -9,7 +9,7 @@
 //! meter's cycle count); an event whose timestamp has passed *fires*
 //! exactly once and the layer then misbehaves in the prescribed way —
 //! a worker stalls or crashes, an IPI is eaten or delayed, a channel
-//! slot reads back corrupt, an invalidation broadcast is dropped, a
+//! slot reads back corrupt, a delete's invalidation is dropped, a
 //! world-table lookup transiently vanishes.
 //!
 //! Two properties the rest of the stack builds on:
@@ -51,7 +51,7 @@ pub enum FaultSite {
     /// A channel page access faults at the EPT (permission revoked or
     /// mapping torn down under the resident dispatcher).
     ChannelEptFault,
-    /// An invalidation broadcast is dropped on its way to one worker's
+    /// A delete's invalidation is dropped on its way to one worker's
     /// caches (a stale WT/IWT window until the next re-delivery).
     InvalidationDrop,
     /// A world-table lookup transiently fails as if the world were

@@ -105,7 +105,7 @@ fn build_service(
 }
 
 /// Draws one request. Callee selection is skewed (half the draws land on
-/// two hot worlds) so batching and shard contention are realistic. Most
+/// two hot worlds) so batching and stealing are realistic. Most
 /// bodies touch a few working-set pages; 3% are abusive (budget below
 /// their body work — guaranteed §3.4 cancellation, see module docs).
 fn draw_request(rng: &mut SplitMix64, worlds: &[crossover::world::Wid]) -> CallRequest {
@@ -169,8 +169,7 @@ fn run_point(workers: usize, calls: u64, obs: ObsConfig) -> (BenchPoint, Service
         queue_wait_cycles: report.queue_wait_cycles,
         queue_wait_mean_cycles: report.mean_queue_wait_cycles(),
         stolen: report.stolen,
-        shard_contended: report.contention.shard_contended,
-        index_contended: report.contention.index_contended,
+        writer_contended: report.table.writer_contended,
         ipi_dropped: report.smp.total_ipi_dropped(),
         host_wall_ms,
     };

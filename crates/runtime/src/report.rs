@@ -84,10 +84,9 @@ pub struct BenchPoint {
     pub queue_wait_mean_cycles: f64,
     /// Batches whose leading request was stolen from a peer's ring.
     pub stolen: u64,
-    /// Shard-lock acquisitions that had to block.
-    pub shard_contended: u64,
-    /// Index-stripe acquisitions that had to block.
-    pub index_contended: u64,
+    /// World-table writer-lock acquisitions that had to block (lookups
+    /// are wait-free and never contend).
+    pub writer_contended: u64,
     /// IPIs dropped across all cores of the merged SMP machine (queue
     /// overflow or injected loss).
     pub ipi_dropped: u64,
@@ -123,8 +122,7 @@ impl BenchPoint {
              {indent}  \"queue_wait_cycles\": {},\n\
              {indent}  \"queue_wait_mean_cycles\": {:.1},\n\
              {indent}  \"stolen\": {},\n\
-             {indent}  \"shard_contended\": {},\n\
-             {indent}  \"index_contended\": {},\n\
+             {indent}  \"writer_contended\": {},\n\
              {indent}  \"ipi_dropped\": {},\n\
              {indent}  \"host_wall_ms\": {:.2}\n\
              {indent}}}",
@@ -150,8 +148,7 @@ impl BenchPoint {
             self.queue_wait_cycles,
             self.queue_wait_mean_cycles,
             self.stolen,
-            self.shard_contended,
-            self.index_contended,
+            self.writer_contended,
             self.ipi_dropped,
             self.host_wall_ms,
         );
@@ -230,8 +227,7 @@ mod tests {
             queue_wait_cycles: 12_000,
             queue_wait_mean_cycles: 1_200.0,
             stolen: 3,
-            shard_contended: 0,
-            index_contended: 0,
+            writer_contended: 0,
             ipi_dropped: 0,
             host_wall_ms: 1.5,
         };

@@ -256,7 +256,7 @@ pub struct SupervisorReport {
     pub lookup_retries: u64,
     /// Virtual cycles charged to retry backoff.
     pub backoff_cycles: u64,
-    /// Invalidation broadcasts whose application was deferred by an
+    /// Retire-log invalidations whose application was deferred by an
     /// injected drop (healed at the next batch boundary).
     pub invalidation_defers: u64,
     /// Working-set touches that failed to translate (counted, not
@@ -309,12 +309,12 @@ impl SupervisorReport {
     }
 
     /// Mean virtual-time recovery latency (fault observed → next
-    /// completed call), `NAN` with no samples.
-    pub fn mean_recovery_cycles(&self) -> f64 {
+    /// completed call), `None` with no samples.
+    pub fn mean_recovery_cycles(&self) -> Option<f64> {
         if self.recovery_samples.is_empty() {
-            return f64::NAN;
+            return None;
         }
-        self.recovery_samples.iter().sum::<u64>() as f64 / self.recovery_samples.len() as f64
+        Some(self.recovery_samples.iter().sum::<u64>() as f64 / self.recovery_samples.len() as f64)
     }
 
     /// Total faults this worker observed (the health probe's numerator).
@@ -537,11 +537,16 @@ mod tests {
         let mut sup = Supervisor::new(SupervisorConfig::default(), 0);
         sup.note_healthy(50); // no open episode: no sample
         assert!(sup.report.recovery_samples.is_empty());
+        assert_eq!(
+            sup.report.mean_recovery_cycles(),
+            None,
+            "no samples, no mean"
+        );
         sup.note_fault(100);
         sup.note_fault(200); // episode already open: start unchanged
         sup.note_healthy(700);
         assert_eq!(sup.report.recovery_samples, vec![600]);
-        assert!(sup.report.mean_recovery_cycles() == 600.0);
+        assert_eq!(sup.report.mean_recovery_cycles(), Some(600.0));
         sup.note_healthy(900); // closed: no double sample
         assert_eq!(sup.report.recovery_samples.len(), 1);
     }
@@ -590,7 +595,7 @@ mod tests {
         assert_eq!(a.respawns, 3);
         assert_eq!(a.corruptions_detected, 3);
         assert_eq!(a.recovery_samples, vec![10, 30]);
-        assert!((a.mean_recovery_cycles() - 20.0).abs() < 1e-12);
+        assert_eq!(a.mean_recovery_cycles(), Some(20.0));
         assert_eq!(a.faults_observed(), 3 + 3);
     }
 }

@@ -1,21 +1,21 @@
-//! Sharded-vs-sequential equivalence property.
+//! Epoch-vs-sequential equivalence property.
 //!
-//! The sharded table's contract is that concurrency is *purely* an
-//! implementation property: driven by a single worker, the service must
-//! be indistinguishable from the sequential `WorldTable` + `WorldCallUnit`
-//! stack. This test replays identical seeded schedules of create /
+//! The epoch table's contract is that concurrency is *purely* an
+//! implementation property: driven by a single worker, the service's
+//! table must be indistinguishable from the sequential `WorldTable` +
+//! `WorldCallUnit` stack. This test replays identical seeded schedules of create /
 //! delete / world_call operations through both stacks and asserts that
 //! every observable agrees: minted WIDs, per-operation results, cache
 //! hit/miss/fill/invalidation statistics, and the platform's metered
 //! cycles and instructions.
 
 use crossover::call::{Direction, WorldCallUnit};
-use crossover::table::WorldTable;
+use crossover::table::{WorldLookup, WorldTable};
 use crossover::world::{Wid, WorldDescriptor};
 use hypervisor::platform::Platform;
 use hypervisor::vm::VmConfig;
 use machine::rng::SplitMix64;
-use xover_runtime::ShardedWorldTable;
+use xover_runtime::{EpochWorldTable, TableView};
 
 const CASES: u64 = 32;
 const OPS_PER_CASE: usize = 120;
@@ -83,7 +83,7 @@ impl Run {
     /// Schedules the caller world's context onto the vCPU (free), then
     /// issues the call+return pair exactly as the runtime worker does.
     /// Returns a compact result code for comparison.
-    fn call<T: crossover::table::WorldLookup>(
+    fn call<T: WorldLookup>(
         &mut self,
         table: &T,
         caller_entry: Option<crossover::world::WorldEntry>,
@@ -115,7 +115,7 @@ impl Run {
 }
 
 #[test]
-fn sharded_table_is_observably_sequential() {
+fn epoch_table_is_observably_sequential() {
     let mut template = Platform::new_default();
     template.create_vm(VmConfig::named("eq-a")).unwrap();
     template.create_vm(VmConfig::named("eq-b")).unwrap();
@@ -128,67 +128,68 @@ fn sharded_table_is_observably_sequential() {
         let ops = schedule(&mut rng, pool.len(), OPS_PER_CASE);
 
         let mut seq_table = WorldTable::with_quota(QUOTA);
-        // Shard count deliberately different from the default and odd,
-        // so WIDs spray across shards unevenly.
-        let sharded = ShardedWorldTable::with_shards(3, QUOTA);
+        let epoch = EpochWorldTable::new(1, QUOTA);
+        // Calls walk the table through the worker's pinned view, exactly
+        // as the service's single worker does.
+        let view = TableView::for_worker(&epoch, 0);
         let mut seq = Run::new(&template);
-        let mut shd = Run::new(&template);
+        let mut ept = Run::new(&template);
 
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 Op::Create(d) => {
                     let a = seq_table.create(pool[d]);
-                    let b = sharded.create(pool[d]);
+                    let b = epoch.create(pool[d]);
                     assert_eq!(a, b, "case {case} op {i}: create diverged");
                 }
                 Op::Delete(raw) => {
                     let wid = Wid::from_raw(raw);
                     let a = seq_table.delete(wid);
-                    let b = sharded.delete(wid);
+                    let b = epoch.delete(wid);
                     assert_eq!(a, b, "case {case} op {i}: delete diverged");
                     if a.is_ok() {
-                        // manage_wtc invalidate on both units (the
-                        // sequential analogue of the broadcast bus).
+                        // manage_wtc invalidate on both units (what the
+                        // worker does when it pulls the retire log).
                         seq.unit.manage_wtc_invalidate(&mut seq.platform, wid);
-                        shd.unit.manage_wtc_invalidate(&mut shd.platform, wid);
+                        ept.unit.manage_wtc_invalidate(&mut ept.platform, wid);
                     }
                 }
                 Op::Call { caller, callee } => {
                     let caller = Wid::from_raw(caller);
                     let callee = Wid::from_raw(callee);
                     let seq_entry = seq_table.lookup(caller).copied();
-                    let shd_entry = sharded.lookup(caller);
+                    let ept_entry = view.entry_of(caller);
                     assert_eq!(
-                        seq_entry, shd_entry,
+                        seq_entry, ept_entry,
                         "case {case} op {i}: caller lookup diverged"
                     );
                     let a = seq.call(&seq_table, seq_entry, callee);
-                    let b = shd.call(&sharded, shd_entry, callee);
+                    let b = ept.call(&view, ept_entry, callee);
                     assert_eq!(a, b, "case {case} op {i}: call outcome diverged");
                 }
             }
         }
 
         // End-of-schedule observables.
-        assert_eq!(seq_table.len(), sharded.len(), "case {case}: table size");
+        assert_eq!(seq_table.len(), epoch.len(), "case {case}: table size");
         assert_eq!(
             seq.unit.wt_stats(),
-            shd.unit.wt_stats(),
+            ept.unit.wt_stats(),
             "case {case}: WT-cache statistics"
         );
         assert_eq!(
             seq.unit.iwt_stats(),
-            shd.unit.iwt_stats(),
+            ept.unit.iwt_stats(),
             "case {case}: IWT-cache statistics"
         );
         assert_eq!(
             seq.platform.cpu().meter().cycles(),
-            shd.platform.cpu().meter().cycles(),
+            ept.platform.cpu().meter().cycles(),
             "case {case}: metered cycles"
         );
         assert_eq!(
             seq.platform.cpu().meter().instructions(),
-            shd.platform.cpu().meter().instructions(),
+            ept.platform.cpu().meter().instructions(),
             "case {case}: metered instructions"
         );
     }
@@ -203,7 +204,6 @@ fn single_worker_service_matches_direct_call_results() {
 
     let mut svc = WorldCallService::new(RuntimeConfig {
         workers: 1,
-        shards: 3,
         quota: QUOTA,
         // batch_max 1 disables destination batching, which would reorder
         // the queue; with one worker this makes outcomes strictly FIFO.

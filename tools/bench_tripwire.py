@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
-"""Bench-trajectory tripwire.
+"""Bench-trajectory tripwire: the one gate per bench metric.
 
-Every bench binary asserts its own acceptance floors in-process, but a
-floor only catches a collapse — a slow drift from 81% improvement down
-to 72% sails under a 70% gate one PR at a time. This script diffs the
-headline metrics of freshly generated ``BENCH_*.json`` documents
-against the baselines committed at the repo root and fails when a
-metric moves past its tolerance band in the regressing direction.
-Improvements beyond the band are reported (so the baseline gets
-refreshed) but do not fail.
+Two kinds of check run on every freshly generated ``BENCH_*.json``:
+
+* **Absolute gates** (``GATES``): fixed floors and ceilings — the
+  thresholds each bench binary also asserts in-process — checked on the
+  fresh document alone, so they hold even when no baseline is
+  committed.
+* **Drift bands** (``SPECS``): a floor only catches a collapse, and a
+  slow drift sails under it one change at a time. Headline metrics are
+  diffed against the baselines committed at the repo root and fail
+  when they move past their tolerance band in the regressing
+  direction. Improvements beyond the band are reported (so the
+  baseline gets refreshed) but do not fail.
+
+Documents are parsed as strict JSON (RFC 8259): a bare ``NaN`` or
+``Infinity`` constant fails the load instead of slipping through.
 
 Usage:
     bench_tripwire.py FRESH.json [FRESH2.json ...]   # explicit files
@@ -16,11 +23,11 @@ Usage:
 
 A fresh file is matched to its committed baseline by name, with any
 ``_N`` run suffix stripped (``BENCH_hotpath_2.json`` compares against
-``BENCH_hotpath.json``). Benches without a spec below, and spec'd
-benches whose fresh or baseline document is absent, are skipped with a
-note — each CI job can point the tripwire at only the bench it just
-ran. Exits nonzero if any compared metric regressed, or if --check
-found nothing to compare.
+``BENCH_hotpath.json``). Benches without a spec below are skipped with
+a note, and so are drift bands whose baseline document is absent —
+each CI job can point the tripwire at only the bench it just ran.
+Exits nonzero if any gate failed or any compared metric regressed, or
+if --check found nothing to check.
 
 Host-timing-dependent values (wall-clock nanoseconds, drill landing
 cycles) are deliberately not spec'd; everything below is virtual-time
@@ -34,11 +41,50 @@ import os
 import re
 import sys
 
-# (json-path, absolute tolerance, higher_is_better)
+# Absolute gates: (json-path, op, threshold[, min occurrences]).
+# A plain path walks nested objects. A path starting with "**/" names
+# every occurrence of the key anywhere in the document (arrays
+# included): each occurrence must pass, except under the "any" op,
+# where one equal occurrence suffices; and there must be at least
+# `min occurrences` of them (default 1). Booleans compare as 1/0.
+GATES = {
+    "BENCH_hotpath.json": [
+        ("tuned_cycles_per_call_4_workers", "<=", 2460.0),
+    ],
+    "BENCH_gateway.json": [
+        ("pipelined_vs_blocking/pipelined_vs_blocking_x", ">=", 2.0),
+        ("**/lost_verdicts", "==", 0),
+        ("**/duplicated_verdicts", "==", 0),
+    ],
+    "BENCH_scale.json": [
+        ("summary/p99_flatness_ratio", "<=", 1.5),
+        ("**/resident_bound_ok", "==", True),
+    ],
+    "BENCH_faults.json": [
+        ("**/lost_verdicts", "==", 0),
+        ("**/duplicated_verdicts", "==", 0),
+    ],
+    "BENCH_authz.json": [
+        ("**/policy_bypasses", "==", 0),
+        ("**/lost_verdicts", "==", 0),
+        ("**/within_one_batch", "==", True),
+    ],
+    "BENCH_feedback.json": [
+        ("improvement_pct_feedback_vs_adaptive", ">", 0.0),
+        ("**/reconverged_all_phases", "==", True, 3),
+    ],
+    "BENCH_slo.json": [
+        ("**/watchdog_on_exact", "==", True),
+        ("**/detect_epochs", "<=", 6, 2),
+        ("**/top_contributor", "any", "transition", 2),
+    ],
+}
+
+# Drift bands: (json-path, absolute tolerance, higher_is_better).
 # The path walks nested objects; arrays are not traversed.
 SPECS = {
     "BENCH_hotpath.json": [
-        ("improvement_pct_4_workers", 8.0, True),
+        ("tuned_cycles_per_call_4_workers", 700.0, False),
     ],
     "BENCH_switchless.json": [
         ("improvement_pct_skewed_adaptive", 8.0, True),
@@ -70,18 +116,101 @@ SPECS = {
         ("fault_burst/detect_epochs", 2.0, False),
         ("degrade_shift/detect_epochs", 2.0, False),
     ],
+    "BENCH_feedback.json": [
+        # 4 workers: thread interleaving moves this ~2 points run to run.
+        ("improvement_pct_feedback_vs_adaptive", 3.0, True),
+    ],
+}
+
+OPS = {
+    ">=": lambda v, t: v >= t,
+    ">": lambda v, t: v > t,
+    "<=": lambda v, t: v <= t,
+    "==": lambda v, t: v == t,
+    "any": lambda v, t: v == t,
 }
 
 
-def lookup(doc, path):
+def passes(op, value, threshold):
+    """A value of the wrong type (a string or null where a number is
+    gated) fails instead of raising."""
+    try:
+        return OPS[op](value, threshold)
+    except TypeError:
+        return False
+
+
+def reject_constant(name):
+    raise ValueError(f"non-JSON constant {name} (RFC 8259 has no NaN/Infinity)")
+
+
+def load(path):
+    with open(path) as f:
+        return json.load(f, parse_constant=reject_constant)
+
+
+def find_all(node, key):
+    """Every value stored under `key`, anywhere in the document."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            if k == key:
+                yield v
+            yield from find_all(v, key)
+    elif isinstance(node, list):
+        for v in node:
+            yield from find_all(v, key)
+
+
+def scalar(value):
+    """Numbers and booleans compare as floats, strings as themselves."""
+    if isinstance(value, bool) or isinstance(value, (int, float)):
+        return float(value)
+    return value
+
+
+def check_gates(name, fresh):
+    """Returns (checked, failures) for the absolute gates of one document."""
+    checked = failures = 0
+    for gate in GATES.get(name, []):
+        path, op, threshold = gate[:3]
+        min_count = gate[3] if len(gate) > 3 else 1
+        if path.startswith("**/"):
+            values = [scalar(v) for v in find_all(fresh, path[3:])]
+        else:
+            v = lookup_raw(fresh, path)
+            values = [] if v is None else [scalar(v)]
+        want = scalar(threshold)
+        if len(values) < min_count:
+            ok = False
+            detail = f"{len(values)} occurrence(s), need {min_count}"
+        elif op == "any":
+            ok = any(passes(op, v, want) for v in values)
+            detail = f"values {values}"
+        else:
+            ok = all(passes(op, v, want) for v in values)
+            detail = f"values {values}" if len(values) > 1 else f"value {values[0]}"
+        checked += 1
+        print(
+            f"  {'  ok' if ok else 'FAIL'} {name}:{path} {op} {threshold!r} "
+            f"(gate; {detail})"
+        )
+        if not ok:
+            failures += 1
+    return checked, failures
+
+
+def lookup_raw(doc, path):
     node = doc
     for part in path.split("/"):
         if not isinstance(node, dict) or part not in node:
             return None
         node = node[part]
-    if isinstance(node, bool):
-        return float(node)
-    if isinstance(node, (int, float)):
+    return node
+
+
+def lookup(doc, path):
+    node = lookup_raw(doc, path)
+    if isinstance(node, bool) or isinstance(node, (int, float)):
         return float(node)
     return None
 
@@ -92,22 +221,24 @@ def canonical(path):
 
 
 def compare(fresh_path, baseline_dir):
-    """Returns (compared, regressions) counts for one fresh document."""
+    """Returns (checked, failures) counts for one fresh document."""
     name = canonical(fresh_path)
-    spec = SPECS.get(name)
-    if spec is None:
+    if name not in SPECS and name not in GATES:
         print(f"  skip {fresh_path}: no tripwire spec for {name}")
         return 0, 0
+    try:
+        fresh = load(fresh_path)
+    except ValueError as e:
+        print(f"  FAIL {fresh_path}: not strict JSON: {e}")
+        return 0, 1
+    compared, regressions = check_gates(name, fresh)
+    spec = SPECS.get(name, [])
     baseline_path = os.path.join(baseline_dir, name)
-    if not os.path.exists(baseline_path):
-        print(f"  skip {fresh_path}: no committed baseline {baseline_path}")
-        return 0, 0
-    with open(fresh_path) as f:
-        fresh = json.load(f)
-    with open(baseline_path) as f:
-        baseline = json.load(f)
+    if spec and not os.path.exists(baseline_path):
+        print(f"  skip {fresh_path} drift bands: no committed baseline {baseline_path}")
+        return compared, regressions
+    baseline = load(baseline_path) if spec else None
 
-    compared = regressions = 0
     for path, tol, higher_is_better in spec:
         base_v = lookup(baseline, path)
         fresh_v = lookup(fresh, path)
@@ -165,12 +296,12 @@ def main():
         total += compared
         failures += regressions
     if failures:
-        print(f"tripwire: {failures} metric(s) regressed past tolerance")
+        print(f"tripwire: {failures} check(s) failed")
         return 1
     if total == 0:
-        print("tripwire: nothing compared — no spec'd bench documents found")
+        print("tripwire: nothing checked — no spec'd bench documents found")
         return 1
-    print(f"tripwire: {total} metric(s) within tolerance")
+    print(f"tripwire: {total} check(s) passed")
     return 0
 
 
