@@ -181,6 +181,12 @@ impl Cpu {
         &self.trace
     }
 
+    /// Turns the trace statistics-only from here on, keeping its counts
+    /// (see [`Trace::stop_recording`]).
+    pub fn stop_recording_events(&mut self) {
+        self.trace.stop_recording();
+    }
+
     /// Clears the transition trace (meter is unaffected).
     pub fn clear_trace(&mut self) {
         self.trace.clear();

@@ -225,6 +225,14 @@ impl Trace {
         }
     }
 
+    /// Drops the recorded events and stops recording new ones, keeping
+    /// every statistic: from here on the trace behaves as if built with
+    /// [`Trace::counting_only`].
+    pub fn stop_recording(&mut self) {
+        self.enabled = false;
+        self.events = Vec::new();
+    }
+
     /// Appends an event and returns it.
     pub fn record(
         &mut self,
@@ -397,6 +405,29 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.count(TransitionKind::WorldCall), 1);
         assert_eq!(t.ring_crossings(), 1);
+    }
+
+    #[test]
+    fn stop_recording_keeps_counts_and_drops_events() {
+        let mut t = Trace::new();
+        let call = |t: &mut Trace| {
+            t.record(
+                TransitionKind::WorldCall,
+                CpuMode::GUEST_USER,
+                CpuMode::GUEST_KERNEL,
+                200,
+                1,
+            )
+        };
+        call(&mut t);
+        t.stop_recording();
+        assert!(t.events().is_empty());
+        let e = call(&mut t);
+        assert_eq!(e.seq, 1, "sequence numbers continue");
+        assert!(t.events().is_empty());
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.count(TransitionKind::WorldCall), 2);
+        assert_eq!(t.ring_crossings(), 2);
     }
 
     #[test]

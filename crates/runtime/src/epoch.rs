@@ -11,14 +11,18 @@
 //!
 //! The table is published as a two-level radix: an atomically-swapped
 //! root [`TableArray`] holding a power-of-two array of bucket pointers,
-//! each bucket an immutable sorted slice of entries. A reader pins its
-//! per-worker epoch slot, loads the root, loads one bucket, binary
-//! searches, and unpins — no locks, no CAS loops, no allocation:
-//! wait-free in the number of resident entries. Writers (registration,
-//! deletion, eviction, refault) serialize behind one mutex and publish
-//! by copy-on-write: build a replacement bucket (or, on growth, a
-//! doubled root), swap the pointer, and push the old structure onto a
-//! limbo list tagged with the post-swap epoch.
+//! each bucket an immutable sorted slice of entries. A WID lookup (the
+//! WT-miss walk) pins its per-worker epoch slot, loads the root, loads
+//! one bucket, binary searches, and unpins — no locks, no CAS loops, no
+//! allocation: wait-free in the number of resident entries. Two reads
+//! do take the writer mutex: a resident miss (a cold-store refault, or
+//! a WID that is not live), and [`EpochWorldTable::lookup_context`], the
+//! context → WID lookup behind the IWT-miss path, whose index lives
+//! with the writer state. Writers (registration, deletion, eviction,
+//! refault) serialize behind one mutex and publish by copy-on-write:
+//! build a replacement bucket (or, on growth, a doubled root), swap the
+//! pointer, and push the old structure onto a limbo list tagged with
+//! the post-swap epoch.
 //!
 //! # Grace periods
 //!
@@ -54,6 +58,17 @@
 //! transparently on their next lookup (a *refault*, through the writer
 //! lock). Eviction is invisible to worker caches: an evicted world is
 //! still live, so no invalidation is needed or sent.
+//!
+//! Maintenance costs what it does, not what the table holds. A
+//! [`EpochWorldTable::maintain`] pass sweeps up to [`SWEEP_BUCKETS`]
+//! buckets, and a read-only pre-scan of each bucket's stamps skips
+//! every bucket with nothing idle: no copy, no swap, no retire. Only a
+//! bucket holding an idle entry is rebuilt. Workers offer a pass at
+//! every batch boundary through [`EpochWorldTable::maintain_paced`],
+//! which runs one only once enough lookup ticks have passed for the
+//! sweep to rotate through the whole table every `window / 8` ticks, so
+//! an idle entry is demoted within `window + window / 8` ticks and the
+//! pace comes from the measured window, not from a setting.
 
 use std::collections::HashMap;
 use std::ptr;
@@ -69,7 +84,7 @@ use hypervisor::vm::VmId;
 const QUIESCENT: u64 = u64::MAX;
 
 /// Buckets examined per [`EpochWorldTable::maintain`] call: the sweep is
-/// incremental so maintenance cost per batch stays bounded regardless of
+/// incremental so the cost of one pass stays bounded regardless of
 /// table size.
 const SWEEP_BUCKETS: usize = 64;
 
@@ -84,6 +99,18 @@ const MIN_WINDOW: u64 = 4096;
 
 /// Entries per cold-store page.
 const COLD_PAGE_SLOTS: usize = 128;
+
+/// Lookup ticks between paced maintenance passes: a full sweep of
+/// `buckets` every `window / 8` ticks, with [`MIN_WINDOW`] standing in
+/// for a window still calibrating (`u64::MAX`).
+fn pace_interval(window: u64, buckets: usize) -> u64 {
+    let window = if window == u64::MAX {
+        MIN_WINDOW
+    } else {
+        window
+    };
+    (window / 8 / buckets.div_ceil(SWEEP_BUCKETS) as u64).max(1)
+}
 
 /// One resident slot: the entry plus its last-access stamp. The stamp is
 /// atomic so readers can update it through a shared bucket reference.
@@ -300,6 +327,11 @@ pub struct EpochWorldTable {
     writer_contended: AtomicU64,
     /// Derived eviction window; `u64::MAX` while calibrating.
     window: AtomicU64,
+    /// Lookup tick at which the next [`EpochWorldTable::maintain_paced`]
+    /// pass is due.
+    maintain_due: AtomicU64,
+    /// Lookup ticks between paced passes, refreshed by every pass.
+    pace: AtomicU64,
     /// Whether maintenance may calibrate a window and demote cold
     /// worlds (always on outside this module's tests).
     evicts: bool,
@@ -346,6 +378,8 @@ impl EpochWorldTable {
             writer_acquisitions: AtomicU64::new(0),
             writer_contended: AtomicU64::new(0),
             window: AtomicU64::new(u64::MAX),
+            maintain_due: AtomicU64::new(0),
+            pace: AtomicU64::new(pace_interval(u64::MAX, buckets)),
             evicts: true,
             dist_hist: (0..65).map(|_| AtomicU64::new(0)).collect(),
             dist_samples: AtomicU64::new(0),
@@ -678,26 +712,27 @@ impl EpochWorldTable {
         self.retired_len.load(Ordering::Acquire)
     }
 
-    /// Pulls retirements the caller has not seen yet, advancing its
-    /// cursor. One atomic load when nothing is new.
-    pub fn pull_retired(&self, cursor: &mut usize) -> Vec<Wid> {
+    /// Appends retirements the caller has not seen yet to `into`,
+    /// advancing its cursor. One atomic load when nothing is new; no
+    /// allocation once `into` has grown to the largest pull.
+    pub fn pull_retired(&self, cursor: &mut usize, into: &mut Vec<Wid>) {
         let len = self.retired_len.load(Ordering::Acquire);
         if *cursor >= len {
-            return Vec::new();
+            return;
         }
         let log = self.retired.lock().unwrap_or_else(|e| e.into_inner());
-        let fresh = log[*cursor..].to_vec();
+        into.extend_from_slice(&log[*cursor..]);
         *cursor = log.len();
-        fresh
     }
 
     // ---- maintenance -----------------------------------------------
 
     /// One incremental maintenance pass: recompute the eviction window
-    /// from the reuse-distance histogram, sweep a bounded number of
-    /// buckets demoting idle entries, and free limbo structures whose
-    /// grace period has elapsed. Non-blocking: if the writer lock is
-    /// held, the pass is skipped (another thread is making progress).
+    /// from the reuse-distance histogram, sweep up to [`SWEEP_BUCKETS`]
+    /// buckets demoting idle entries (only a bucket holding one is
+    /// copied and republished), and free limbo structures whose grace
+    /// period has elapsed. Non-blocking: if the writer lock is held, the
+    /// pass is skipped (another thread is making progress).
     pub fn maintain(&self) -> MaintainOutcome {
         let Ok(mut st) = self.writer.try_lock() else {
             return MaintainOutcome::default();
@@ -706,11 +741,46 @@ impl EpochWorldTable {
         self.recompute_window();
         let evicted = self.sweep(&mut st);
         let reclaimed = self.reclaim(&mut st);
+        // The root is read under the writer lock, which every grow and
+        // reclaim holds, so it cannot be freed underneath.
+        let buckets = unsafe { &*self.root.load(Ordering::SeqCst) }.buckets.len();
+        self.pace.store(
+            pace_interval(self.window.load(Ordering::Relaxed), buckets),
+            Ordering::Relaxed,
+        );
         MaintainOutcome {
             evicted,
             reclaimed,
             refaults: self.refaults_unreported.swap(0, Ordering::Relaxed),
         }
+    }
+
+    /// [`EpochWorldTable::maintain`], paced by the lookup clock: runs a
+    /// pass only once enough lookup ticks have passed since the previous
+    /// paced pass for the sweep to rotate through the whole table every
+    /// `window / 8` ticks, i.e. every
+    /// `window / 8 / ceil(buckets / SWEEP_BUCKETS)` ticks, as of the
+    /// previous pass ([`MIN_WINDOW`] stands in while the window
+    /// calibrates). An entry idle past the
+    /// window is therefore demoted within `window + window / 8` ticks,
+    /// and maintenance cost follows the lookup rate, not how often
+    /// callers offer a pass. Of concurrent callers that find a pass due,
+    /// one runs it.
+    pub fn maintain_paced(&self) -> MaintainOutcome {
+        let now = self.tick.load(Ordering::Relaxed);
+        let due = self.maintain_due.load(Ordering::Relaxed);
+        if now < due {
+            return MaintainOutcome::default();
+        }
+        let next = now + self.pace.load(Ordering::Relaxed);
+        if self
+            .maintain_due
+            .compare_exchange(due, next, Ordering::Relaxed, Ordering::Relaxed)
+            .is_err()
+        {
+            return MaintainOutcome::default();
+        }
+        self.maintain()
     }
 
     /// Derives the eviction window from the log₂ reuse-distance
@@ -751,9 +821,20 @@ impl EpochWorldTable {
             let i = st.sweep_cursor % buckets;
             st.sweep_cursor = st.sweep_cursor.wrapping_add(1);
             let bucket = unsafe { &*arr.buckets[i].load(Ordering::SeqCst) };
+            // Read-only pre-scan: almost every pass finds nothing idle,
+            // and such a bucket stays exactly as published — no copy,
+            // no swap, no retire.
+            let idle_candidate = bucket
+                .slots
+                .iter()
+                .any(|s| now.saturating_sub(s.last_access.load(Ordering::Relaxed)) > window);
+            if !idle_candidate {
+                continue;
+            }
             // Partition with a single stamp read per slot: reading twice
             // could race a concurrent reader's stamp and land an entry in
-            // both the kept bucket and the cold store.
+            // both the kept bucket and the cold store. (A candidate the
+            // pre-scan saw may have been stamped since; this read decides.)
             let mut keep: Vec<Slot> = Vec::with_capacity(bucket.slots.len());
             let mut demoted = 0u64;
             for slot in &bucket.slots {
@@ -975,11 +1056,16 @@ mod tests {
         assert!(t.lookup(a).is_none());
         assert!(t.lookup(b).is_some());
         let mut cursor = 0;
-        assert_eq!(t.pull_retired(&mut cursor), vec![a]);
-        assert!(t.pull_retired(&mut cursor).is_empty());
+        let mut pulled = Vec::new();
+        t.pull_retired(&mut cursor, &mut pulled);
+        assert_eq!(pulled, vec![a]);
+        t.pull_retired(&mut cursor, &mut pulled);
+        assert_eq!(pulled, vec![a], "a drained cursor appends nothing");
         // A second worker with its own cursor sees the same log.
         let mut other = 0;
-        assert_eq!(t.pull_retired(&mut other), vec![a]);
+        let mut theirs = Vec::new();
+        t.pull_retired(&mut other, &mut theirs);
+        assert_eq!(theirs, vec![a]);
         assert_eq!(
             t.delete(a),
             Err(WorldError::InvalidWid { wid: a }),
@@ -1059,6 +1145,103 @@ mod tests {
         t.delete(cold_wid).unwrap();
         assert!(t.lookup(cold_wid).is_none());
         assert_eq!(t.len(), 8);
+    }
+
+    #[test]
+    fn maintain_with_nothing_idle_publishes_nothing() {
+        let t = EpochWorldTable::new(1, 1024);
+        let wids: Vec<Wid> = (0..256)
+            .map(|i| t.create(host(0x1000 + i * 8)).unwrap())
+            .collect();
+        // Round-robin lookups calibrate the window and re-stamp every
+        // entry each 256 ticks, far inside it.
+        for round in 0..(MIN_WINDOW * 2) as usize {
+            t.lookup_pinned(0, wids[round % wids.len()]).unwrap();
+        }
+        t.maintain(); // derives the window, frees registration garbage
+        assert!(
+            t.window.load(Ordering::Relaxed) < u64::MAX,
+            "the sweep runs"
+        );
+        assert!(
+            t.bucket_count() <= SWEEP_BUCKETS,
+            "one pass sees every bucket"
+        );
+        let published = |t: &EpochWorldTable| {
+            let root = t.root.load(Ordering::SeqCst);
+            let buckets: Vec<*mut Bucket> = unsafe { &*root }
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::SeqCst))
+                .collect();
+            (root, buckets)
+        };
+        let before = (published(&t), t.epoch.load(Ordering::SeqCst), t.health());
+        assert_eq!(t.maintain(), MaintainOutcome::default());
+        let after = (published(&t), t.epoch.load(Ordering::SeqCst), t.health());
+        assert_eq!(after.0, before.0, "same root and bucket addresses");
+        assert_eq!(after.1, before.1, "no retire bumped the epoch");
+        assert_eq!(after.2.retired_pending, before.2.retired_pending);
+        assert_eq!(after.2.grace_reclaims, before.2.grace_reclaims);
+        assert_eq!(after.2.evictions, 0);
+    }
+
+    #[test]
+    fn paced_maintenance_waits_its_interval_and_demotes_in_time() {
+        let t = EpochWorldTable::new(1, 1024);
+        let cold = t.create(host(0x9_0000)).unwrap();
+        let hot: Vec<Wid> = (0..8)
+            .map(|i| t.create(host(0x1000 + i * 8)).unwrap())
+            .collect();
+        // A worker batch: one lookup (one tick), then the offered pass.
+        let mut i = 0usize;
+        let mut batch = || {
+            t.lookup_pinned(0, hot[i % hot.len()]).unwrap();
+            i += 1;
+            t.maintain_paced()
+        };
+        let passes = || t.writer_acquisitions.load(Ordering::Relaxed);
+        for _ in 0..2 * MIN_WINDOW_SAMPLES {
+            batch();
+        }
+        let window = t.window.load(Ordering::Relaxed);
+        assert!((MIN_WINDOW..u64::MAX).contains(&window), "calibrated");
+        let interval = window / 8 / t.bucket_count().div_ceil(SWEEP_BUCKETS) as u64;
+        // The cold world's last access; it is idle from here on.
+        t.lookup_pinned(0, cold).unwrap();
+        let last = t.tick.load(Ordering::Relaxed);
+        // Offers are no-ops until `interval` ticks follow a pass.
+        let seen = passes();
+        while passes() == seen {
+            batch();
+        }
+        let ran = passes();
+        for _ in 1..interval {
+            batch();
+        }
+        for _ in 0..16 {
+            t.maintain_paced(); // no lookups in between: no ticks
+        }
+        assert_eq!(passes(), ran, "no pass before the interval elapses");
+        batch();
+        assert_eq!(passes(), ran + 1, "the interval's last tick runs a pass");
+        // Worker-driven lookups alone still demote the idle world within
+        // window + window / 8 ticks of its last access.
+        while t.evictions.load(Ordering::Relaxed) == 0 {
+            batch();
+            let idle = t.tick.load(Ordering::Relaxed) - last;
+            assert!(
+                idle <= window + window / 8,
+                "not demoted after {idle} ticks"
+            );
+        }
+        assert_eq!(
+            t.window.load(Ordering::Relaxed),
+            window,
+            "window held steady"
+        );
+        assert_eq!(t.cold_count(), 1);
+        assert_eq!(t.lookup_pinned(0, cold).unwrap().wid, cold, "refaults");
     }
 
     #[test]

@@ -70,6 +70,7 @@
 //! errors, same cache statistics, same metered cycles.
 
 pub mod authz;
+pub mod batch;
 pub mod epoch;
 pub mod feedback;
 pub mod observe;
@@ -83,6 +84,7 @@ pub mod watchdog;
 mod worker;
 
 pub use authz::{AuthzConfig, AuthzMode, AuthzPolicy, AuthzSummary, RateLimitConfig};
+pub use batch::{Batcher, Routed};
 pub use epoch::{EpochWorldTable, MaintainOutcome, TableHealth, TableView};
 pub use feedback::{
     FeedbackConfig, FeedbackMode, FeedbackSummary, LaneGauge, PrefetchStats, PrefillStats,

@@ -738,6 +738,9 @@ impl WorldCallService {
         for index in 0..self.config.workers {
             let mut platform = self.template.clone();
             platform.set_tlb_enabled(self.config.unified_tlb);
+            // Workers read only transition counts; a recording trace
+            // would keep every event of the run alive until drain.
+            platform.cpu_mut().stop_recording_events();
             let ctx = WorkerContext {
                 index,
                 platform,

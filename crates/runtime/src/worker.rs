@@ -60,6 +60,7 @@ use mmu::tlb::TlbStats;
 use obs::{EventKind, EventRing, ObsConfig, Recorder};
 
 use crate::authz::AuthzPolicy;
+use crate::batch::Batcher;
 use crate::epoch::{EpochWorldTable, TableView};
 use crate::feedback::{FeedbackConfig, PrefillStats};
 use crate::ring::RingSet;
@@ -732,22 +733,27 @@ impl Engine<'_> {
 
     /// Runs a same-caller group through the authz policy, denying every
     /// request the policy refuses before any path (classic or resident)
-    /// sees it, and returning the admitted remainder in order. With the
-    /// plane off this is one branch and the group passes through
-    /// untouched — the cycle-exact off configuration. Checking at the
-    /// group boundary (after the batch-boundary retire pull) is what
-    /// bounds revocation staleness at one batch: a revocation lands in
-    /// the shared policy immediately, and the longest anything already
-    /// past this gate can run is the remainder of its batch.
-    fn enforce_authz(&mut self, group: Vec<(Queued, bool)>) -> Vec<(Queued, bool)> {
+    /// sees it. The admitted remainder is compacted in order to the front
+    /// of `group` and its length returned. With the plane off this is
+    /// one branch and the group passes through untouched — the
+    /// cycle-exact off configuration. Checking at the group boundary
+    /// (after the batch-boundary retire pull) is what bounds revocation
+    /// staleness at one batch: a revocation lands in the shared policy
+    /// immediately, and the longest anything already past this gate can
+    /// run is the remainder of its batch.
+    fn enforce_authz(&mut self, group: &mut [(Queued, bool)]) -> usize {
         let Some(policy) = self.authz.clone() else {
-            return group;
+            return group.len();
         };
-        let mut admitted = Vec::with_capacity(group.len());
-        for (queued, was_stolen) in group {
+        let mut admitted = 0;
+        for i in 0..group.len() {
+            let (queued, was_stolen) = group[i];
             let now = self.now();
             match policy.check(&queued.req, now) {
-                Ok(()) => admitted.push((queued, was_stolen)),
+                Ok(()) => {
+                    group[admitted] = group[i];
+                    admitted += 1;
+                }
                 Err(err) => self.deny(&queued, was_stolen, err),
             }
         }
@@ -1131,75 +1137,6 @@ impl Engine<'_> {
     }
 }
 
-/// Takes the next destination-affine batch from the rings. The worker
-/// first drains its own ring into `backlog` (bounded at twice the batch
-/// size), then extracts the first request's same-callee group from the
-/// backlog, preserving the relative order of what stays behind. Sets
-/// `first_stolen` when the leading request came from a peer's ring.
-/// `biased` routes steals through [`RingSet::pop_biased`] (queue-wait-
-/// biased victim selection) instead of round-robin. Empty result means
-/// closed-and-drained.
-fn next_batch(
-    rings: &RingSet<Queued>,
-    home: usize,
-    batch_max: usize,
-    backlog: &mut VecDeque<Queued>,
-    first_stolen: &mut bool,
-    biased: bool,
-) -> Vec<Queued> {
-    *first_stolen = false;
-    let first = match backlog.pop_front() {
-        Some(q) => q,
-        None => {
-            let popped = if biased {
-                rings.pop_biased(home)
-            } else {
-                rings.pop(home)
-            };
-            match popped {
-                Some((q, stolen)) => {
-                    *first_stolen = stolen;
-                    q
-                }
-                None => return Vec::new(),
-            }
-        }
-    };
-    while backlog.len() < batch_max.saturating_mul(2) {
-        match rings.try_pop_local(home) {
-            Some(q) => backlog.push_back(q),
-            None => break,
-        }
-    }
-    let callee = first.req.callee;
-    let mut batch = vec![first];
-    backlog.retain(|q| {
-        if batch.len() < batch_max && q.req.callee == callee {
-            batch.push(*q);
-            false
-        } else {
-            true
-        }
-    });
-    batch
-}
-
-/// Splits a same-callee batch into same-caller runs, preserving
-/// first-seen caller order and within-caller request order, and tagging
-/// each request with whether it was the batch's stolen head.
-fn split_by_caller(batch: Vec<Queued>, first_stolen: bool) -> Vec<(Wid, Vec<(Queued, bool)>)> {
-    let mut groups: Vec<(Wid, Vec<(Queued, bool)>)> = Vec::new();
-    for (i, q) in batch.into_iter().enumerate() {
-        let caller = q.req.caller;
-        let tagged = (q, i == 0 && first_stolen);
-        match groups.iter_mut().find(|(c, _)| *c == caller) {
-            Some((_, v)) => v.push(tagged),
-            None => groups.push((caller, vec![tagged])),
-        }
-    }
-    groups
-}
-
 /// The worker thread body: pop destination-batched requests until the
 /// rings close and drain, pulling the table's retire log between
 /// batches.
@@ -1223,10 +1160,8 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
     // Cursor into `engine.outcomes`: everything before it has already
     // been fed to the SLO watchdog at a previous batch boundary.
     let mut watchdog_fed = 0usize;
-    let mut backlog: VecDeque<Queued> = VecDeque::new();
-    // A batch held over a crash-respawn: requeued whole, order
-    // preserved, before any of it was serviced.
-    let mut requeued: Option<Vec<Queued>> = None;
+    // Backlog, batch and caller runs, reused from batch to batch.
+    let mut batcher: Batcher<Queued> = Batcher::new(ctx.batch_max);
     let mut stolen = 0u64;
     // Retirements an injected fault dropped on the way to this worker's
     // caches; healed (applied) at the next batch boundary, so staleness
@@ -1236,6 +1171,8 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
     // everything before it has already been purged from the WT/IWT
     // caches.
     let mut retire_cursor = 0usize;
+    // Reused buffer for each batch boundary's pull of the retire log.
+    let mut retired: Vec<Wid> = Vec::new();
     let mut engine = Engine {
         platform: &mut ctx.platform,
         unit: &mut unit,
@@ -1269,21 +1206,10 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
             ctx.index,
             engine.platform.cpu().meter().cycles(),
         );
-        let mut first_stolen = false;
-        let batch = match requeued.take() {
-            Some(b) => b,
-            None => next_batch(
-                &ctx.rings,
-                ctx.index,
-                ctx.batch_max,
-                &mut backlog,
-                &mut first_stolen,
-                ctx.feedback.steal_bias_on(),
-            ),
-        };
-        if batch.is_empty() {
+        let Some(first_stolen) = batcher.next(&ctx.rings, ctx.index, ctx.feedback.steal_bias_on())
+        else {
             break; // closed and drained
-        }
+        };
         // Worker-level faults are consulted *before* any of the batch is
         // serviced, so a crash can requeue the whole batch with no
         // verdict recorded yet (the exactly-one-verdict invariant).
@@ -1317,7 +1243,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                     // worker. Dead-letter the batch (typed verdicts, not
                     // losses) and shed new load until a quiet window.
                     engine.health.escalate(DegradeLevel::Shedding, now);
-                    for queued in &batch {
+                    for (queued, _) in batcher.items() {
                         let wait = engine.stamp_wait(queued);
                         engine.queue_wait_cycles += wait;
                         engine.supervisor.report.dead_lettered += 1;
@@ -1372,7 +1298,9 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 }
                 engine.awaiting_post_respawn_sample = true;
                 engine.emit(EventKind::Respawn, respawns, 0, 0);
-                requeued = Some(batch);
+                // Held over whole, order preserved, before any of it
+                // was serviced.
+                batcher.requeue();
                 continue;
             }
         }
@@ -1390,7 +1318,9 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         for wid in deferred_invalidations.drain(..) {
             engine.unit.manage_wtc_invalidate(engine.platform, wid);
         }
-        for wid in ctx.table.pull_retired(&mut retire_cursor) {
+        retired.clear();
+        ctx.table.pull_retired(&mut retire_cursor, &mut retired);
+        for &wid in &retired {
             if engine.fire(FaultSite::InvalidationDrop).is_some() {
                 let now = engine.now();
                 engine.supervisor.report.invalidation_defers += 1;
@@ -1406,13 +1336,17 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 engine.unit.manage_wtc_invalidate(engine.platform, wid);
             }
         }
-        // Cooperative table maintenance: each worker offers one bounded
-        // pass per batch (a try-lock inside; skipped for free when a
-        // peer or a registration holds the writer). Runs whether or not
-        // obs is on — the sweep is the table's side effect, only the
-        // event emission is conditional — and charges zero virtual
-        // cycles, so obs-on runs stay cycle-exact.
-        let m = ctx.table.maintain();
+        // Cooperative table maintenance: each worker offers a pass at
+        // every batch boundary, and the table runs one only when enough
+        // lookup ticks have passed for its sweep to rotate through the
+        // whole table every window / 8 ticks — otherwise the offer is
+        // two relaxed loads. A due pass is one bounded sweep that copies
+        // only buckets holding an idle entry (a try-lock inside; skipped
+        // for free when a peer or a registration holds the writer). Runs
+        // whether or not obs is on — the sweep is the table's side
+        // effect, only the event emission is conditional — and charges
+        // zero virtual cycles, so obs-on runs stay cycle-exact.
+        let m = ctx.table.maintain_paced();
         if m.evicted > 0 {
             engine.emit(EventKind::WorldEvict, m.evicted, 0, 0);
         }
@@ -1438,8 +1372,8 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         // One relaxed load on the clean path; steps the pool back up the
         // degradation ladder once a quiet window has passed.
         engine.health.maybe_recover(engine.now());
-        let callee = batch[0].req.callee;
-        let occupancy = ctx.rings.len_of(ctx.index) as u64 + backlog.len() as u64;
+        let callee = batcher.items()[0].0.req.callee;
+        let occupancy = ctx.rings.len_of(ctx.index) as u64 + batcher.backlog_len() as u64;
         let budget = match (&ctx.controller, ctx.switchless.enabled()) {
             (Some(c), true) => c.budget_for(callee),
             _ => 0,
@@ -1449,11 +1383,15 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         } else {
             None
         };
-        for (caller, group) in split_by_caller(batch, first_stolen) {
+        batcher.group_by_caller();
+        for g in 0..batcher.group_count() {
+            let group = batcher.group_mut(g);
+            let caller = group[0].0.req.caller;
             // Policy gate: denials resolve here with typed verdicts;
             // only the admitted remainder picks a service path. A group
             // thinned below the coalescing threshold rides classic.
-            let group = engine.enforce_authz(group);
+            let admitted = engine.enforce_authz(group);
+            let group = &group[..admitted];
             if group.is_empty() {
                 continue;
             }
@@ -1470,7 +1408,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                     }
                 }
                 _ => {
-                    for (queued, was_stolen) in &group {
+                    for (queued, was_stolen) in group {
                         engine.classic(queued, *was_stolen);
                     }
                 }

@@ -114,8 +114,11 @@ fn quiescence_drains_garbage_and_deleted_wids_miss_everywhere() {
     // Each worker's cursor drains the log exactly once, in order.
     for _slot in 0..SLOTS {
         let mut cursor = 0usize;
-        assert_eq!(table.pull_retired(&mut cursor), deleted);
-        assert!(table.pull_retired(&mut cursor).is_empty());
+        let mut pulled = Vec::new();
+        table.pull_retired(&mut cursor, &mut pulled);
+        assert_eq!(pulled, deleted);
+        table.pull_retired(&mut cursor, &mut pulled);
+        assert_eq!(pulled, deleted, "a drained cursor appends nothing");
     }
     // No reader is pinned, so bounded maintenance passes must free every
     // retired structure; the limbo list cannot ratchet.
