@@ -12,7 +12,11 @@
 //! staying exactly reproducible. After the pool drains, a second pass
 //! replays the same servers with each call's *true* on-CPU latency to
 //! place completion-delivery instants, so reported end-to-end latencies
-//! reflect measured service time, not the estimate.
+//! reflect measured service time, not the estimate. Pass 2 joins each
+//! admission to its outcome through a table indexed by the dense
+//! gateway token, orders deliveries by the unique `(done_cycles, token)`
+//! key, and drains each tenant's pending batch into its completion ring
+//! so the batch buffer is reused across flushes.
 //!
 //! Three invariants the loop maintains (checked by
 //! [`GatewayReport::check_conservation`] and re-checked from the
@@ -23,11 +27,11 @@
 //! 3. sheds carry an explicit reason, counted per tenant.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use obs::{Event, EventKind};
 use runtime::report::percentile;
-use runtime::{CallVerdict, ServiceReport, SubmitError, WorldCallService};
+use runtime::{ServiceReport, SubmitError, WorldCallService};
 
 use crate::ring::{CompletionRing, SubmissionRing};
 use crate::{
@@ -267,7 +271,7 @@ impl Gateway {
 
     /// `Off` mode: hand the trace to the service untouched.
     fn run_passthrough(self, mut svc: WorldCallService) -> GatewayReport {
-        let mut tallies: HashMap<u32, u64> = HashMap::new();
+        let mut tallies: BTreeMap<u32, u64> = BTreeMap::new();
         for sub in &self.staged {
             svc.submit(sub.request).expect("service open until drain");
             *tallies.entry(sub.tenant).or_insert(0) += 1;
@@ -275,7 +279,7 @@ impl Gateway {
         svc.start();
         let service = svc.drain();
         let submitted = self.staged.len() as u64;
-        let mut tenants: Vec<TenantReport> = tallies
+        let tenants: Vec<TenantReport> = tallies
             .into_iter()
             .map(|(tenant, submitted)| TenantReport {
                 tenant,
@@ -290,7 +294,6 @@ impl Gateway {
                 e2e_p99_cycles: 0,
             })
             .collect();
-        tenants.sort_by_key(|t| t.tenant);
         GatewayReport {
             submitted,
             admitted: submitted,
@@ -325,8 +328,12 @@ impl Gateway {
         // retirements (done, admission seq, tenant).
         let mut servers: BinaryHeap<Reverse<u64>> = (0..workers).map(|_| Reverse(0)).collect();
         let mut retirements: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-        let mut admissions: Vec<Admitted> = Vec::new();
-        let mut events: Vec<Event> = Vec::new();
+        // Every staged submission is admitted or shed once (one event
+        // either way), and each completion batch adds one more.
+        let staged = self.staged.len();
+        let mut admissions: Vec<Admitted> = Vec::with_capacity(staged);
+        let mut events: Vec<Event> =
+            Vec::with_capacity(staged + staged / self.config.completion_batch + n);
         let mut busy_streak = 0u32;
         let mut busy_latched = false;
 
@@ -513,63 +520,72 @@ impl Gateway {
         let service = svc.drain();
 
         // Pass 2: replay the servers with measured latencies to place
-        // completion-delivery instants, then batch per tenant.
-        let mut by_token: HashMap<u64, (CallVerdict, u64)> = service
-            .outcomes
-            .iter()
-            .map(|o| (o.request.tag, (o.verdict.clone(), o.latency_cycles)))
-            .collect();
+        // completion-delivery instants, then batch per tenant. Tokens
+        // are dense (0..next_token) and each outcome carries its token
+        // as its tag, so a token-indexed table finds each admission's
+        // outcome; a tag outside the token range matches no admission.
+        let mut by_token: Vec<Option<usize>> = vec![None; self.next_token as usize];
+        for (i, o) in service.outcomes.iter().enumerate() {
+            if let Some(slot) = usize::try_from(o.request.tag)
+                .ok()
+                .and_then(|tag| by_token.get_mut(tag))
+            {
+                *slot = Some(i);
+            }
+        }
         let mut servers: BinaryHeap<Reverse<u64>> = (0..workers).map(|_| Reverse(0)).collect();
         let mut deliveries: Vec<Completion> = admissions
             .iter()
             .map(|adm| {
-                let (verdict, latency) = by_token
-                    .remove(&adm.token)
-                    .expect("exactly one verdict per admitted call");
+                let o = &service.outcomes[by_token[adm.token as usize]
+                    .take()
+                    .expect("exactly one verdict per admitted call")];
                 let Reverse(free) = servers.pop().expect("one per worker");
-                let done = free.max(adm.admitted_cycles) + latency;
+                let done = free.max(adm.admitted_cycles) + o.latency_cycles;
                 servers.push(Reverse(done));
                 Completion {
                     token: adm.token,
                     user_tag: adm.user_tag,
                     tenant: adm.tenant,
-                    verdict,
+                    verdict: o.verdict.clone(),
                     arrival_cycles: adm.arrival_cycles,
                     admitted_cycles: adm.admitted_cycles,
                     done_cycles: done,
                 }
             })
             .collect();
-        deliveries.sort_by_key(|c| (c.done_cycles, c.token));
+        // Tokens are unique, so the keys are too: the unstable sort
+        // yields the same order a stable one would.
+        deliveries.sort_unstable_by_key(|c| (c.done_cycles, c.token));
 
         let mut completion_rings: Vec<CompletionRing> =
             (0..n).map(|_| CompletionRing::new()).collect();
-        let mut pending: Vec<Vec<Completion>> = vec![Vec::new(); n];
+        let batch_len = self.config.completion_batch;
+        let mut pending: Vec<Vec<Completion>> =
+            (0..n).map(|_| Vec::with_capacity(batch_len)).collect();
         let flush = |tid: usize,
                      pending: &mut Vec<Vec<Completion>>,
                      completion_rings: &mut Vec<CompletionRing>,
                      events: &mut Vec<Event>| {
-            let batch = std::mem::take(&mut pending[tid]);
-            if batch.is_empty() {
+            let Some(last) = pending[tid].last() else {
                 return;
-            }
-            let ts = batch.last().expect("nonempty").done_cycles;
+            };
             events.push(Event::new(
-                ts,
+                last.done_cycles,
                 GATEWAY_TRACK,
                 EventKind::CompletionBatch,
-                batch.len() as u64,
+                pending[tid].len() as u64,
                 tid as u64,
                 0,
             ));
-            completion_rings[tid].deliver(batch);
+            completion_rings[tid].deliver_from(&mut pending[tid]);
         };
         let mut delivered = 0u64;
         for c in deliveries {
             let tid = c.tenant as usize;
             delivered += 1;
             pending[tid].push(c);
-            if pending[tid].len() >= self.config.completion_batch {
+            if pending[tid].len() >= batch_len {
                 flush(tid, &mut pending, &mut completion_rings, &mut events);
             }
         }

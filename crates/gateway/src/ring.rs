@@ -100,10 +100,16 @@ impl CompletionRing {
 
     /// Delivers one batch of completions (the reactor calls this; batch
     /// size policy lives there).
-    pub fn deliver(&mut self, batch: Vec<Completion>) {
+    pub fn deliver(&mut self, mut batch: Vec<Completion>) {
+        self.deliver_from(&mut batch);
+    }
+
+    /// Delivers one batch by draining it out of `batch`, which keeps its
+    /// capacity for the next batch the caller gathers.
+    pub fn deliver_from(&mut self, batch: &mut Vec<Completion>) {
         debug_assert!(!batch.is_empty(), "empty delivery batches are a bug");
         self.batches += 1;
-        self.entries.extend(batch);
+        self.entries.extend(batch.drain(..));
     }
 
     /// Pops the oldest undrained completion.

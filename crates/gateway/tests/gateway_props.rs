@@ -19,7 +19,13 @@
 //!    reasons, `submitted == admitted + shed` at every level, and the
 //!    recorded trace replays through `obs::verify`'s gateway checks.
 //!
-//! Single worker throughout: these are determinism properties.
+//! Plus delivery order: each tenant's completions arrive ordered by
+//! `(done_cycles, token)`, and the report's end-to-end latencies are
+//! exactly those of the delivered completions.
+//!
+//! Single worker throughout, except the delivery-order check, which
+//! needs two virtual servers so a tenant's later call can complete
+//! first: the others are determinism properties.
 
 use machine::fault::{FaultKind, FaultPlan, FaultSite};
 use machine::rng::SplitMix64;
@@ -40,11 +46,12 @@ const WORKING_SET_PAGES: u64 = 8;
 /// the same service shape as the obs/fault parity suites, so the
 /// gateway is exercised over every servicing path.
 fn build_service(
+    workers: usize,
     obs: ObsConfig,
     plan: Option<FaultPlan>,
 ) -> (WorldCallService, Vec<Vec<crossover::world::Wid>>) {
     let mut svc = WorldCallService::new(RuntimeConfig {
-        workers: 1,
+        workers,
         queue_capacity: CALLS as usize + 16,
         batch_max: 32,
         switchless: SwitchlessConfig::fixed(8),
@@ -117,7 +124,7 @@ fn schedule(seed: u64, gap: u64) -> Vec<(u32, u64, CallRequest)> {
     // The worlds vector is only a shape here; requests drawn against
     // one service are submitted to another with identical registration
     // order, so the Wids line up.
-    let (_svc, worlds) = build_service(ObsConfig::default(), None);
+    let (_svc, worlds) = build_service(1, ObsConfig::default(), None);
     let mut rng = SplitMix64::new(seed);
     (0..CALLS)
         .map(|i| {
@@ -145,7 +152,7 @@ fn sorted_verdicts_per_tenant(label: &str, outcomes: &[(u32, CallVerdict)]) -> V
 /// Blocking-submission baseline: the same schedule pushed through
 /// `submit` in arrival order, no gateway anywhere.
 fn run_direct(seed: u64, gap: u64, plan: Option<FaultPlan>) -> ServiceReport {
-    let (mut svc, _worlds) = build_service(ObsConfig::default(), plan);
+    let (mut svc, _worlds) = build_service(1, ObsConfig::default(), plan);
     for (_tenant, _at, req) in schedule(seed, gap) {
         svc.submit(req).expect("queue open");
     }
@@ -160,7 +167,7 @@ fn run_gateway(
     obs: ObsConfig,
     plan: Option<FaultPlan>,
 ) -> GatewayReport {
-    let (svc, _worlds) = build_service(obs, plan);
+    let (svc, _worlds) = build_service(1, obs, plan);
     let mut gw = Gateway::new(config);
     for (tenant, at, req) in schedule(seed, gap) {
         gw.enqueue(tenant, at, req);
@@ -350,7 +357,7 @@ fn overload_sheds_loudly_and_trace_verifies() {
 /// accounted with the health reason.
 #[test]
 fn health_shedding_sheds_at_the_gateway() {
-    let (svc, worlds) = build_service(ObsConfig::default(), None);
+    let (svc, worlds) = build_service(1, ObsConfig::default(), None);
     svc.health().escalate(DegradeLevel::Shedding, 0);
     let mut gw = Gateway::new(generous());
     let mut rng = SplitMix64::new(SEED);
@@ -368,4 +375,55 @@ fn health_shedding_sheds_at_the_gateway() {
     );
     assert_eq!(report.service.admitted, 0, "service-side ledger agrees");
     report.check_conservation().expect("conservation");
+}
+
+/// Delivery order: every tenant ring holds its completions in strictly
+/// increasing `(done_cycles, token)` order — done-time ties broken by
+/// token — and `admitted_e2e_cycles` is the sorted end-to-end latency
+/// of every delivered completion, nothing more or less. Two workers,
+/// so pass 2 replays two servers and a short call admitted after a
+/// long one of the same tenant completes first: delivery order is then
+/// not token order.
+#[test]
+fn completions_arrive_in_done_then_token_order() {
+    let mut overtakes = 0;
+    for (seed, gap) in [(SEED, 0), (0x5EED_0002, 0), (SEED, 97), (0xD00_D1E, 1_500)] {
+        let (svc, _worlds) = build_service(2, ObsConfig::default(), None);
+        let mut gw = Gateway::new(GatewayConfig::rings(vec![
+            TenantConfig::new(TenantClass::Gold, 8, CALLS as usize),
+            TenantConfig::new(TenantClass::Silver, 4, CALLS as usize),
+            TenantConfig::new(TenantClass::Bronze, 2, CALLS as usize),
+        ]));
+        for (tenant, at, req) in schedule(seed, gap) {
+            gw.enqueue(tenant, at, req);
+        }
+        let gw = gw.run(svc);
+        gw.check_conservation().expect("conservation");
+        let mut e2e = Vec::new();
+        for t in &gw.tenants {
+            let keys: Vec<(u64, u64)> = t
+                .completions
+                .iter()
+                .map(|c| (c.done_cycles, c.token))
+                .collect();
+            for pair in keys.windows(2) {
+                assert!(
+                    pair[0] < pair[1],
+                    "seed {seed:#x} gap {gap}: tenant {} delivered {:?} before {:?}",
+                    t.tenant,
+                    pair[0],
+                    pair[1]
+                );
+                overtakes += usize::from(pair[0].1 > pair[1].1);
+            }
+            e2e.extend(t.completions.iter().map(|c| c.end_to_end_cycles()));
+        }
+        e2e.sort_unstable();
+        assert_eq!(e2e.len() as u64, gw.completions_delivered);
+        assert_eq!(
+            gw.admitted_e2e_cycles, e2e,
+            "seed {seed:#x} gap {gap}: end-to-end latencies != delivered completions'"
+        );
+    }
+    assert!(overtakes > 0, "no later call ever completed first");
 }

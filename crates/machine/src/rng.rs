@@ -7,6 +7,16 @@
 //! and benchmark workloads (it passes BigCrush as the seeding stage of
 //! xoshiro; we only need uncorrelated streams).
 
+/// The SplitMix64 output finalizer: a bijective multiply-xorshift mix
+/// of one 64-bit word, in which every input bit affects every output
+/// bit.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64: one multiply-xorshift pipeline per output.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
@@ -22,10 +32,7 @@ impl SplitMix64 {
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(self.state)
     }
 
     /// Uniform value in `[0, bound)`.

@@ -27,18 +27,30 @@
 //!   — a granted intermediary laundering calls for an ungranted origin
 //!   — is denied at the policy, not discovered at the symptom.
 //!
+//! Locking: the grants sit behind an `RwLock` whose read side every
+//! dispatch-time [`AuthzPolicy::check`] and gateway
+//! [`AuthzPolicy::would_admit`] probe shares, so workers do not
+//! serialize on the policy; grant, revoke and rate changes take the
+//! write side, and a revocation is visible to the next check after it
+//! returns. Token buckets have their own mutex, which a check takes only
+//! when a rate limit applies, and only while it still holds the grants
+//! read guard: [`AuthzPolicy::set_rate`] takes the grants write lock and
+//! then the bucket lock, so a check never sees a new rate with an old
+//! bucket. Grant and callee maps hash with the runtime's integer hasher
+//! (the keys are table-minted WIDs).
+//!
 //! Everything here is host-side bookkeeping: checks charge **zero
 //! virtual cycles**, so a policy that denies nothing is invisible in
 //! the cycle accounting — `AuthzConfig::off()` (the default) and a
 //! permissive policy are both bit-for-bit cycle-exact against PR 8
 //! (asserted by `tests/authz_props.rs` and the `authz` bench).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crossover::world::Wid;
 
+use crate::inthash::{IntMap, IntSet};
 use crate::router::{CallError, CallRequest};
 
 /// Whether the authz plane is consulted at all.
@@ -131,7 +143,7 @@ impl Default for AuthzConfig {
 #[derive(Debug, Clone)]
 struct Grant {
     /// Callees admitted; `None` means all.
-    callees: Option<HashSet<u64>>,
+    callees: Option<IntSet<u64>>,
     /// Set when the grant was revoked: the policy generation the
     /// revocation published. A revoked grant is kept (not removed) so
     /// [`CallError::Revoked`] is distinguishable from never-granted.
@@ -181,11 +193,8 @@ impl Bucket {
     }
 }
 
-#[derive(Debug, Default)]
-struct PolicyInner {
-    grants: HashMap<u64, Grant>,
-    buckets: HashMap<u64, Bucket>,
-}
+/// Capability grants by raw caller WID.
+type Grants = IntMap<u64, Grant>;
 
 /// Point-in-time counters for reports and the `xover_authz_*` gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -226,7 +235,12 @@ pub struct AuthzPolicy {
     /// Bumped by every revocation. Workers snapshot it at batch
     /// boundaries; a change is the revocation-visibility marker.
     generation: AtomicU64,
-    inner: Mutex<PolicyInner>,
+    /// Read-shared by every check; written by grant/revoke/rate changes.
+    grants: RwLock<Grants>,
+    /// Token buckets by raw caller WID; locked only by a rate-limited
+    /// check (under the grants read guard) and by `set_rate` (under the
+    /// grants write guard).
+    buckets: Mutex<IntMap<u64, Bucket>>,
     checks: AtomicU64,
     denied: AtomicU64,
     revoked_denies: AtomicU64,
@@ -242,7 +256,8 @@ impl AuthzPolicy {
         AuthzPolicy {
             config,
             generation: AtomicU64::new(0),
-            inner: Mutex::new(PolicyInner::default()),
+            grants: RwLock::new(Grants::default()),
+            buckets: Mutex::new(IntMap::default()),
             checks: AtomicU64::new(0),
             denied: AtomicU64::new(0),
             revoked_denies: AtomicU64::new(0),
@@ -260,15 +275,15 @@ impl AuthzPolicy {
     /// Admits `caller` to `callee` (adding to any existing callee set).
     /// Re-granting a revoked caller resurrects it with a fresh grant.
     pub fn grant(&self, caller: Wid, callee: Wid) {
-        let mut inner = self.lock();
-        let g = inner.grants.entry(caller.raw()).or_insert_with(|| Grant {
-            callees: Some(HashSet::new()),
+        let mut grants = self.write();
+        let g = grants.entry(caller.raw()).or_insert_with(|| Grant {
+            callees: Some(IntSet::default()),
             revoked_at: None,
             rate: None,
         });
         if g.revoked_at.is_some() {
             g.revoked_at = None;
-            g.callees = Some(HashSet::new());
+            g.callees = Some(IntSet::default());
         }
         if let Some(set) = &mut g.callees {
             set.insert(callee.raw());
@@ -277,8 +292,7 @@ impl AuthzPolicy {
 
     /// Admits `caller` to every callee.
     pub fn grant_all(&self, caller: Wid) {
-        let mut inner = self.lock();
-        inner.grants.insert(
+        self.write().insert(
             caller.raw(),
             Grant {
                 callees: None,
@@ -291,15 +305,17 @@ impl AuthzPolicy {
     /// Attaches a private rate limit to `caller`'s grant (creating an
     /// all-callee grant if none exists).
     pub fn set_rate(&self, caller: Wid, rate: RateLimitConfig) {
-        let mut inner = self.lock();
-        let g = inner.grants.entry(caller.raw()).or_insert_with(|| Grant {
+        let mut grants = self.write();
+        let g = grants.entry(caller.raw()).or_insert_with(|| Grant {
             callees: None,
             revoked_at: None,
             rate: None,
         });
         g.rate = Some(rate);
-        // A fresh limit starts with a fresh bucket.
-        inner.buckets.remove(&caller.raw());
+        // A fresh limit starts with a fresh bucket. Taken while the
+        // grants write guard is held, so no check sees the new rate
+        // against the old bucket.
+        self.buckets().remove(&caller.raw());
     }
 
     /// Revokes `caller`'s grant and publishes a new policy generation.
@@ -309,13 +325,11 @@ impl AuthzPolicy {
     /// policies (the grant is recorded dead, not absent).
     pub fn revoke(&self, caller: Wid) -> u64 {
         let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut inner = self.lock();
-        inner
-            .grants
+        self.write()
             .entry(caller.raw())
             .and_modify(|g| g.revoked_at = Some(generation))
             .or_insert_with(|| Grant {
-                callees: Some(HashSet::new()),
+                callees: Some(IntSet::default()),
                 revoked_at: Some(generation),
                 rate: None,
             });
@@ -347,11 +361,11 @@ impl AuthzPolicy {
                 max: self.config.max_chain_depth,
             });
         }
-        let mut inner = self.lock();
+        let grants = self.read();
         // The immediate caller and every recorded hop must each hold
         // the grant — transitive authority, the confused-deputy fix.
         for principal in std::iter::once(req.caller).chain(req.provenance.hops()) {
-            if let Err(err) = admitted(&inner, &self.config, principal, req.callee) {
+            if let Err(err) = admitted(&grants, &self.config, principal, req.callee) {
                 match &err {
                     CallError::Revoked { .. } => {
                         self.revoked_denies.fetch_add(1, Ordering::Relaxed)
@@ -363,18 +377,21 @@ impl AuthzPolicy {
         }
         // Rate-limit the immediate caller only: hops lend authority,
         // they don't spend their own budget on relayed traffic.
-        let rate = inner
-            .grants
+        let rate = grants
             .get(&req.caller.raw())
             .and_then(|g| g.rate)
             .or(self.config.rate);
         if let Some(rate) = rate {
-            let bucket = inner
-                .buckets
+            // Still under the grants read guard: `set_rate` cannot swap
+            // this caller's rate and bucket between the lookup above
+            // and the take below.
+            let mut buckets = self.buckets();
+            let bucket = buckets
                 .entry(req.caller.raw())
                 .or_insert_with(|| Bucket::full(&rate, now));
             if !bucket.take(&rate, now) {
-                drop(inner);
+                drop(buckets);
+                drop(grants);
                 self.rate_limited.fetch_add(1, Ordering::Relaxed);
                 return Err(CallError::RateLimited { caller: req.caller });
             }
@@ -387,8 +404,7 @@ impl AuthzPolicy {
     /// Consumes no tokens and counts nothing, so a gateway pre-shed
     /// never perturbs the policy's own accounting.
     pub fn would_admit(&self, caller: Wid, callee: Wid) -> bool {
-        let inner = self.lock();
-        admitted(&inner, &self.config, caller, callee).is_ok()
+        admitted(&self.read(), &self.config, caller, callee).is_ok()
     }
 
     /// Counters for reports and gauges.
@@ -405,20 +421,30 @@ impl AuthzPolicy {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, PolicyInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    // Every update below leaves the maps valid at each step, so a guard
+    // poisoned by a panicking holder is recovered rather than spread.
+    fn read(&self) -> RwLockReadGuard<'_, Grants> {
+        self.grants.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Grants> {
+        self.grants.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn buckets(&self) -> MutexGuard<'_, IntMap<u64, Bucket>> {
+        self.buckets.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 /// The grant check for one principal, free of counters so the caller
 /// decides whether the probe is accounted.
 fn admitted(
-    inner: &PolicyInner,
+    grants: &Grants,
     config: &AuthzConfig,
     principal: Wid,
     callee: Wid,
 ) -> Result<(), CallError> {
-    match inner.grants.get(&principal.raw()) {
+    match grants.get(&principal.raw()) {
         Some(g) => {
             if let Some(generation) = g.revoked_at {
                 return Err(CallError::Revoked {

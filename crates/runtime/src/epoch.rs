@@ -310,6 +310,10 @@ pub struct TableHealth {
 #[derive(Debug)]
 pub struct EpochWorldTable {
     root: AtomicPtr<TableArray>,
+    /// Bucket count of the published root, stored under the writer lock
+    /// whenever the root grows, so readers holding neither a pin nor the
+    /// lock never dereference a root a concurrent grow may retire.
+    bucket_count: AtomicUsize,
     epoch: AtomicU64,
     /// One pin slot per worker; QUIESCENT when the worker is not reading.
     pins: Vec<AtomicU64>,
@@ -362,6 +366,7 @@ impl EpochWorldTable {
         let buckets = (worker_slots * 4).next_power_of_two().max(64);
         EpochWorldTable {
             root: AtomicPtr::new(TableArray::alloc(buckets)),
+            bucket_count: AtomicUsize::new(buckets),
             epoch: AtomicU64::new(1),
             pins: (0..worker_slots)
                 .map(|_| AtomicU64::new(QUIESCENT))
@@ -412,9 +417,11 @@ impl EpochWorldTable {
         self.pins.len()
     }
 
-    /// Buckets in the currently-published root array.
+    /// Buckets in the currently-published root array. Reads the mirror
+    /// the writer keeps, not the root itself: safe from any thread,
+    /// pinned or not.
     pub fn bucket_count(&self) -> usize {
-        unsafe { &*self.root.load(Ordering::SeqCst) }.buckets.len()
+        self.bucket_count.load(Ordering::SeqCst)
     }
 
     fn lock_writer(&self) -> MutexGuard<'_, WriterState> {
@@ -584,6 +591,7 @@ impl EpochWorldTable {
         }
         let prev = self.root.swap(fresh_ptr, Ordering::SeqCst);
         debug_assert_eq!(prev, old_ptr);
+        self.bucket_count.store(doubled, Ordering::SeqCst);
         for bucket in &old.buckets {
             let b = bucket.load(Ordering::SeqCst);
             self.retire(st, Garbage::Bucket(b));
@@ -741,11 +749,8 @@ impl EpochWorldTable {
         self.recompute_window();
         let evicted = self.sweep(&mut st);
         let reclaimed = self.reclaim(&mut st);
-        // The root is read under the writer lock, which every grow and
-        // reclaim holds, so it cannot be freed underneath.
-        let buckets = unsafe { &*self.root.load(Ordering::SeqCst) }.buckets.len();
         self.pace.store(
-            pace_interval(self.window.load(Ordering::Relaxed), buckets),
+            pace_interval(self.window.load(Ordering::Relaxed), self.bucket_count()),
             Ordering::Relaxed,
         );
         MaintainOutcome {
@@ -1104,6 +1109,15 @@ mod tests {
             t.create(host(0x1000 + i * 8)).unwrap();
         }
         assert!(t.bucket_count() > initial_buckets, "root should have grown");
+        // The mirror tracks the published root through every grow.
+        let published = {
+            let _writer = t.lock_writer();
+            // SAFETY: the writer lock is held, and every grow and
+            // reclaim holds it, so the published root cannot be retired
+            // or freed while it is read here.
+            unsafe { &*t.root.load(Ordering::SeqCst) }.buckets.len()
+        };
+        assert_eq!(t.bucket_count(), published);
         for raw in 1..=n {
             assert!(t.lookup_pinned(0, Wid::from_raw(raw)).is_some());
         }

@@ -73,6 +73,7 @@ pub mod authz;
 pub mod batch;
 pub mod epoch;
 pub mod feedback;
+mod inthash;
 pub mod observe;
 pub mod report;
 pub mod ring;
@@ -80,6 +81,7 @@ pub mod router;
 pub mod service;
 pub mod supervisor;
 pub mod switchless;
+mod tally;
 pub mod watchdog;
 mod worker;
 

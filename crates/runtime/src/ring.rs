@@ -360,14 +360,28 @@ impl<T: Send> RingSet<T> {
     pub fn pop_biased(&self, home: usize) -> Option<(T, bool)> {
         let n = self.rings.len();
         let mut spins = 0;
-        let mut order: Vec<usize> = (1..n).map(|k| (home + k) % n).collect();
+        // A peer's rank: higher EWMA first, then shorter round-robin
+        // distance `k` — the order a stable sort by descending EWMA over
+        // `(home + k) % n` gives. Ranks are unique (so are distances),
+        // which lets each sweep visit peers by repeatedly selecting the
+        // best rank after the last one visited, with no order buffer to
+        // allocate. An EWMA updated mid-sweep can make a sweep skip or
+        // revisit a peer; like a lost EWMA update, that only blurs the
+        // victim order, and an empty sweep just retries.
+        let rank = |k: usize| {
+            (
+                std::cmp::Reverse(self.wait_ewma[(home + k) % n].load(Ordering::Relaxed)),
+                k,
+            )
+        };
         loop {
             if let Some(item) = self.rings[home].try_pop() {
                 return Some((item, false));
             }
-            order.sort_by_key(|&i| std::cmp::Reverse(self.wait_ewma[i].load(Ordering::Relaxed)));
-            for &i in &order {
-                if let Some(item) = self.rings[i].try_pop() {
+            let mut last = None;
+            while let Some(next) = (1..n).map(rank).filter(|&r| last < Some(r)).min() {
+                last = Some(next);
+                if let Some(item) = self.rings[(home + next.1) % n].try_pop() {
                     return Some((item, true));
                 }
             }
@@ -605,6 +619,34 @@ mod tests {
         assert_eq!(rs.pop_biased(0), Some((7, false)));
         assert_eq!(rs.pop_biased(0), Some((8, true)));
         assert_eq!(rs.pop_biased(0), Some((9, true)));
+    }
+
+    #[test]
+    fn biased_pop_visits_peers_in_stable_sorted_ewma_order() {
+        // Reference: a stable sort by descending EWMA over round-robin
+        // distance, with ties (three rings share 40 cycles) kept in
+        // distance order.
+        let ewma_of = [900u64, 40, 7_000, 40, 0, 40];
+        let n = ewma_of.len();
+        for home in 0..n {
+            let rs: RingSet<usize> = RingSet::new(n, 4);
+            for (ring, &ewma) in ewma_of.iter().enumerate() {
+                rs.wait_ewma[ring].store(ewma, Ordering::Relaxed);
+                if ring != home {
+                    rs.try_push(ring, ring).unwrap();
+                }
+            }
+            let mut want: Vec<usize> = (1..n).map(|k| (home + k) % n).collect();
+            want.sort_by_key(|&i| std::cmp::Reverse(ewma_of[i]));
+            let got: Vec<usize> = (1..n)
+                .map(|_| rs.pop_biased(home).expect("a peer holds an item"))
+                .map(|(ring, stolen)| {
+                    assert!(stolen);
+                    ring
+                })
+                .collect();
+            assert_eq!(got, want, "victim order from home {home}");
+        }
     }
 
     #[test]

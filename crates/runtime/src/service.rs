@@ -7,11 +7,18 @@
 //! lock-free request rings ([`RingSet`]) in front of a pool of OS-thread
 //! workers (each simulating one vCPU with private WT-/IWT-caches),
 //! per-call deadlines reusing the §3.4 timeout machinery, and `Busy`
-//! rejection when a ring is full instead of unbounded buffering. When the pool drains, the per-worker meters are merged
-//! into an [`SmpMachine`] — one core per worker — so the usual SMP
-//! metrics (total cycles, makespan) apply unchanged.
+//! rejection when a ring is full instead of unbounded buffering. When the
+//! pool drains, the per-worker meters are merged into an [`SmpMachine`]
+//! — one core per worker — so the usual SMP metrics (total cycles,
+//! makespan) apply unchanged.
+//!
+//! The report's outcome-derived fields (verdict counts, queue-wait sum,
+//! latency and queue-wait histograms, per-tenant denials and latency)
+//! are digested by each worker as it records an outcome; the drain
+//! merges one digest per worker and never re-scans the outcome stream,
+//! which it assembles in the first worker's buffer, grown once.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -36,10 +43,12 @@ use obs::{Event, EventKind, EventRing, LogHistogram, ObsConfig, ObsReport, SUBMI
 use crate::authz::{AuthzConfig, AuthzPolicy, AuthzSummary};
 use crate::epoch::{EpochWorldTable, TableHealth};
 use crate::feedback::{FeedbackConfig, FeedbackSummary};
+use crate::inthash::IntMap;
 use crate::ring::{PushError, RingSet};
-use crate::router::{CallOutcome, CallRequest, CallVerdict, Queued};
+use crate::router::{CallOutcome, CallRequest, Queued};
 use crate::supervisor::{DegradeLevel, HealthState, SupervisorConfig, SupervisorSummary};
 use crate::switchless::{Controller, PairTraffic, SwitchlessConfig, SwitchlessSummary};
+use crate::tally::OutcomeTally;
 use crate::watchdog::{Watchdog, WatchdogConfig, WatchdogSummary};
 use crate::worker::{self, WorkerContext, WorkerReport};
 
@@ -167,8 +176,9 @@ pub struct TenantCounts {
     /// Submissions refused with `Busy` (backpressure or the shedding
     /// rung of the degradation ladder).
     pub shed: u64,
-    /// Admitted requests the authz policy refused at dispatch (filled at
-    /// drain from the denied outcomes; always zero with the plane off).
+    /// Admitted requests the authz policy refused at dispatch (the
+    /// workers count denied outcomes per tenant as they record them;
+    /// always zero with the plane off).
     pub denied: u64,
 }
 
@@ -194,7 +204,7 @@ pub struct TenantLatency {
 #[derive(Debug, Default)]
 struct AdmissionLedger {
     totals: TenantCounts,
-    per_tenant: HashMap<u32, TenantCounts>,
+    per_tenant: IntMap<u32, TenantCounts>,
 }
 
 impl AdmissionLedger {
@@ -288,9 +298,10 @@ pub struct ServiceReport {
     /// and the final revocation generation (all zero when the plane is
     /// off).
     pub authz: AuthzSummary,
-    /// Log-bucketed on-CPU service latency distribution (always built at
-    /// drain, O(n) — replaces the per-sweep-point sorted-Vec percentile
-    /// scan in the bench hot loops).
+    /// Log-bucketed on-CPU service latency distribution (always built:
+    /// workers record each outcome as it lands and the drain merges
+    /// their histograms — replaces the per-sweep-point sorted-Vec
+    /// percentile scan in the bench hot loops).
     pub latency_hist: LogHistogram,
     /// Log-bucketed per-request queue-wait distribution.
     pub queue_wait_hist: LogHistogram,
@@ -360,9 +371,9 @@ pub struct WorldCallService {
     /// minimum live clock so workers can derive queue-wait cycles.
     clocks: Arc<Vec<AtomicU64>>,
     /// Attached per-world working sets, keyed by raw WID.
-    memory: HashMap<u64, WorldMemory>,
+    memory: IntMap<u64, WorldMemory>,
     /// Attached per-callee switchless channel segments, keyed by raw WID.
-    segments: HashMap<u64, ChannelSegment>,
+    segments: IntMap<u64, ChannelSegment>,
     /// The shared budget controller (present when switchless is on).
     controller: Option<Arc<Controller>>,
     /// Armed fault schedule; `None` (the default) and an empty plan are
@@ -412,8 +423,8 @@ impl WorldCallService {
             template,
             table: Arc::new(EpochWorldTable::new(config.workers, config.quota)),
             rings: Arc::new(RingSet::new(config.workers, config.queue_capacity)),
-            memory: HashMap::new(),
-            segments: HashMap::new(),
+            memory: IntMap::default(),
+            segments: IntMap::default(),
             controller: config.switchless.enabled().then(|| {
                 Arc::new(Controller::with_feedback(
                     config.switchless,
@@ -913,7 +924,6 @@ impl WorldCallService {
             .collect();
         let mut smp = SmpMachine::try_new(self.config.workers as u32)
             .expect("config.workers validated positive at construction");
-        let mut outcomes = Vec::new();
         let mut batches = 0;
         let mut wt = CacheStats::default();
         let mut iwt = CacheStats::default();
@@ -927,12 +937,17 @@ impl WorldCallService {
             final_degrade_level: self.health.level() as u8,
             ..SupervisorSummary::default()
         };
-        let mut per_callee: HashMap<u64, (u64, u64)> = HashMap::new();
+        let mut per_callee: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
         let mut feedback = FeedbackSummary {
             config: self.config.feedback,
             ..FeedbackSummary::default()
         };
+        // Every outcome-derived report field comes from the workers'
+        // tallies, each built as its outcomes were recorded: the drain
+        // merges W digests and never re-scans the outcome stream.
+        let mut tally = OutcomeTally::default();
         for r in &reports {
+            tally.merge(&r.tally);
             supervisor.totals.absorb(&r.supervisor);
             feedback.prefill.merge(&r.prefill);
             feedback.prefetch.useful_walks += r.prefetch.useful_walks;
@@ -967,7 +982,6 @@ impl WorldCallService {
                 pairs,
             })
             .collect();
-        switchless.per_callee.sort_unstable_by_key(|p| p.callee);
         if let Some(ctl) = &self.controller {
             switchless.epochs = ctl.history();
             feedback.lanes = ctl.lane_gauges();
@@ -982,11 +996,22 @@ impl WorldCallService {
             .obs
             .enabled()
             .then(|| vec![EventRing::default(); self.config.workers]);
-        for r in reports {
+        // The merged stream is the first worker's buffer, grown once to
+        // hold the rest: a single-worker pool hands its buffer over
+        // without a copy, and no second full-size buffer ever coexists
+        // with every worker's.
+        let total = reports.iter().map(|r| r.outcomes.len()).sum::<usize>();
+        let mut outcomes = Vec::new();
+        for (i, r) in reports.into_iter().enumerate() {
             if let Some(rings) = &mut worker_rings {
                 rings[r.index] = r.obs;
             }
-            outcomes.extend(r.outcomes);
+            if i == 0 {
+                outcomes = r.outcomes;
+                outcomes.reserve_exact(total - outcomes.len());
+            } else {
+                outcomes.extend(r.outcomes);
+            }
         }
         let obs = worker_rings.map(|worker_rings| ObsReport {
             worker_rings,
@@ -996,55 +1021,22 @@ impl WorldCallService {
                 .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
                 .unwrap_or_default(),
         });
-        let mut latency_hist = LogHistogram::new();
-        let mut queue_wait_hist = LogHistogram::new();
-        for o in &outcomes {
-            latency_hist.record(o.latency_cycles);
-            queue_wait_hist.record(o.queue_wait_cycles);
-        }
-        let completed = outcomes
-            .iter()
-            .filter(|o| o.verdict == CallVerdict::Completed)
-            .count() as u64;
-        let timed_out = outcomes
-            .iter()
-            .filter(|o| o.verdict == CallVerdict::TimedOut)
-            .count() as u64;
-        let dead_lettered = outcomes
-            .iter()
-            .filter(|o| matches!(o.verdict, CallVerdict::DeadLettered(_)))
-            .count() as u64;
-        let denied = outcomes
-            .iter()
-            .filter(|o| matches!(o.verdict, CallVerdict::Denied(_)))
-            .count() as u64;
-        let failed = outcomes.len() as u64 - completed - timed_out - dead_lettered - denied;
-        let queue_wait_cycles = outcomes.iter().map(|o| o.queue_wait_cycles).sum();
         let ledger = std::mem::take(&mut *self.admission.lock().unwrap_or_else(|e| e.into_inner()));
         let mut tenant_counts = ledger.per_tenant;
-        for o in &outcomes {
-            if matches!(o.verdict, CallVerdict::Denied(_)) {
-                tenant_counts
-                    .entry(o.request.tenant)
-                    .or_insert(TenantCounts {
-                        tenant: o.request.tenant,
-                        ..TenantCounts::default()
-                    })
-                    .denied += 1;
-            }
+        for &(tenant, denied) in &tally.tenant_denied {
+            tenant_counts
+                .entry(tenant)
+                .or_insert(TenantCounts {
+                    tenant,
+                    ..TenantCounts::default()
+                })
+                .denied += denied;
         }
         let mut per_tenant: Vec<TenantCounts> = tenant_counts.into_values().collect();
         per_tenant.sort_unstable_by_key(|t| t.tenant);
-        let mut tenant_hists: HashMap<u32, LogHistogram> = HashMap::new();
-        for o in &outcomes {
-            if o.verdict == CallVerdict::Completed {
-                tenant_hists
-                    .entry(o.request.tenant)
-                    .or_default()
-                    .record(o.latency_cycles);
-            }
-        }
-        let mut tenant_latency: Vec<TenantLatency> = tenant_hists
+        // Already sorted by tenant id.
+        let tenant_latency: Vec<TenantLatency> = tally
+            .tenant_latency
             .into_iter()
             .map(|(tenant, hist)| TenantLatency {
                 tenant,
@@ -1053,7 +1045,6 @@ impl WorldCallService {
                 hist,
             })
             .collect();
-        tenant_latency.sort_unstable_by_key(|t| t.tenant);
         // The watchdog settles every remaining epoch (all clocks are
         // parked now) and, when the run was recorded, attaches each
         // incident's causal context from the merged event stream.
@@ -1063,11 +1054,11 @@ impl WorldCallService {
         });
         ServiceReport {
             smp,
-            completed,
-            timed_out,
-            failed,
-            dead_lettered,
-            denied,
+            completed: tally.completed,
+            timed_out: tally.timed_out,
+            failed: tally.failed,
+            dead_lettered: tally.dead_lettered,
+            denied: tally.denied,
             rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
             submitted: ledger.totals.submitted,
             admitted: ledger.totals.admitted,
@@ -1078,7 +1069,7 @@ impl WorldCallService {
             wt,
             iwt,
             tlb,
-            queue_wait_cycles,
+            queue_wait_cycles: tally.queue_wait_cycles,
             stolen,
             table: self.table.health(),
             switchless,
@@ -1086,8 +1077,8 @@ impl WorldCallService {
             supervisor,
             authz: self.authz.as_ref().map(|p| p.summary()).unwrap_or_default(),
             outcomes,
-            latency_hist,
-            queue_wait_hist,
+            latency_hist: tally.latency,
+            queue_wait_hist: tally.queue_wait,
             obs,
             watchdog,
         }
@@ -1097,6 +1088,7 @@ impl WorldCallService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::CallVerdict;
     use crossover::service::ServiceTier;
 
     fn two_world_service(workers: usize) -> (WorldCallService, Wid, Wid) {

@@ -295,7 +295,8 @@ struct State {
 /// The online SLO engine. Shared as an `Arc` between the service's
 /// submit side (admission decisions) and the workers (outcomes at batch
 /// boundaries); all state sits behind one mutex that is only ever taken
-/// from host-side bookkeeping paths.
+/// from host-side bookkeeping paths, and a batch boundary with no newly
+/// settled epoch skips it.
 #[derive(Debug)]
 pub struct Watchdog {
     config: WatchdogConfig,
@@ -304,6 +305,14 @@ pub struct Watchdog {
     /// which epochs can still receive samples.
     clocks: Arc<Vec<AtomicU64>>,
     state: Mutex<State>,
+    /// Mirror of `State::next_eval`, stored under the state lock each
+    /// time it advances, so a batch boundary whose minimum clock has
+    /// settled no new epoch returns from [`Watchdog::evaluate`] without
+    /// taking the lock. `next_eval` only grows, so a stale read can only
+    /// send a caller into the lock for nothing, never skip an epoch. It
+    /// publishes no other data (the lock orders the state), so it is
+    /// read and written `Relaxed`.
+    next_eval: AtomicU64,
 }
 
 impl Watchdog {
@@ -313,6 +322,7 @@ impl Watchdog {
             config,
             clocks,
             state: Mutex::new(State::default()),
+            next_eval: AtomicU64::new(0),
         }
     }
 
@@ -399,11 +409,11 @@ impl Watchdog {
             .map(|c| c.load(Ordering::Acquire))
             .min()
             .unwrap_or(u64::MAX);
-        self.evaluate_through(
-            min_clock / self.config.epoch_cycles,
-            degrade_level,
-            min_clock,
-        );
+        let settled = min_clock / self.config.epoch_cycles;
+        if settled <= self.next_eval.load(Ordering::Relaxed) {
+            return;
+        }
+        self.evaluate_through(settled, degrade_level, min_clock);
     }
 
     fn evaluate_through(&self, settled: u64, degrade_level: u8, now: u64) {
@@ -427,6 +437,7 @@ impl Watchdog {
             state.next_eval = epoch + 1;
             state.epochs_evaluated += 1;
         }
+        self.next_eval.store(state.next_eval, Ordering::Relaxed);
     }
 
     /// Judges one settled epoch against every learned objective.

@@ -34,7 +34,7 @@
 //! (forming same-callee batches there) and steals from peer rings only
 //! when idle.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -63,6 +63,7 @@ use crate::authz::AuthzPolicy;
 use crate::batch::Batcher;
 use crate::epoch::{EpochWorldTable, TableView};
 use crate::feedback::{FeedbackConfig, PrefillStats};
+use crate::inthash::IntMap;
 use crate::ring::RingSet;
 use crate::router::{CallError, CallOutcome, CallRequest, CallVerdict, Queued};
 use crate::service::{DeadlinePolicy, WorldMemory};
@@ -70,6 +71,7 @@ use crate::supervisor::{
     DegradeLevel, HealthState, Supervisor, SupervisorConfig, SupervisorReport,
 };
 use crate::switchless::{Controller, SwitchlessConfig, SwitchlessWorkerStats};
+use crate::tally::OutcomeTally;
 use crate::watchdog::Watchdog;
 
 /// Everything a worker thread needs; built by the service at start.
@@ -82,7 +84,7 @@ pub(crate) struct WorkerContext {
     /// Per-worker simulated clocks (cycles) for virtual-time pacing.
     pub clocks: Arc<Vec<AtomicU64>>,
     /// Attached per-world working sets, keyed by raw WID.
-    pub memory: Arc<HashMap<u64, WorldMemory>>,
+    pub memory: Arc<IntMap<u64, WorldMemory>>,
     /// Shape of this worker's private WT/IWT caches.
     pub wtc_geometry: CacheGeometry,
     /// Switchless layer configuration.
@@ -92,7 +94,7 @@ pub(crate) struct WorkerContext {
     /// The shared budget controller (present when switchless is on).
     pub controller: Option<Arc<Controller>>,
     /// Attached per-callee channel segments, keyed by raw WID.
-    pub segments: Arc<HashMap<u64, ChannelSegment>>,
+    pub segments: Arc<IntMap<u64, ChannelSegment>>,
     /// What the per-call deadline bounds.
     pub deadline_policy: DeadlinePolicy,
     /// Armed fault schedule (`None`, and an empty plan, are strict
@@ -182,6 +184,8 @@ pub struct WorkerReport {
     pub meter: Meter,
     /// Per-request outcomes, in service order.
     pub outcomes: Vec<CallOutcome>,
+    /// Digest of `outcomes`, accumulated as each was recorded.
+    pub(crate) tally: OutcomeTally,
     /// Number of batches popped (batches/calls ratio shows how much
     /// destination affinity the queue actually delivered).
     pub batches: u64,
@@ -191,8 +195,6 @@ pub struct WorkerReport {
     pub iwt: CacheStats,
     /// Unified-TLB statistics of this worker's platform.
     pub tlb: TlbStats,
-    /// Summed virtual-time dispatch delay over this worker's requests.
-    pub queue_wait_cycles: u64,
     /// Requests this worker stole from peers' rings.
     pub stolen: u64,
     /// Switchless-path accounting (all zero when the layer is off).
@@ -215,16 +217,6 @@ pub struct WorkerReport {
     pub supervisor: SupervisorReport,
     /// This worker's flight-recorder ring (empty when obs is off).
     pub obs: EventRing,
-}
-
-impl WorkerReport {
-    /// Count of outcomes matching `verdict` coarsely.
-    pub fn count(&self, want_completed: bool) -> u64 {
-        self.outcomes
-            .iter()
-            .filter(|o| (o.verdict == CallVerdict::Completed) == want_completed)
-            .count() as u64
-    }
 }
 
 /// Schedules a world's context onto the worker vCPU: mode, page-table
@@ -268,7 +260,7 @@ struct Engine<'a> {
     /// it publish the worker's epoch pin, so the reclaimer never frees a
     /// bucket out from under an in-flight walk.
     table: TableView<'a>,
-    memory: &'a HashMap<u64, WorldMemory>,
+    memory: &'a IntMap<u64, WorldMemory>,
     clocks: &'a [AtomicU64],
     index: usize,
     policy: DeadlinePolicy,
@@ -284,10 +276,11 @@ struct Engine<'a> {
     /// Trace-driven prefill counters (stay zero when the policy is off).
     prefill: PrefillStats,
     outcomes: Vec<CallOutcome>,
-    queue_wait_cycles: u64,
+    /// Running digest of `outcomes`, updated as each one is recorded.
+    tally: OutcomeTally,
     stats: SwitchlessWorkerStats,
     /// Per-(callee, lane) slot cursors into channel segments.
-    cursors: HashMap<(u64, u64), u64>,
+    cursors: IntMap<(u64, u64), u64>,
     /// Armed fault schedule (absent on the clean path).
     faults: Option<Arc<FaultPlan>>,
     /// This worker's healing brain.
@@ -300,7 +293,7 @@ struct Engine<'a> {
     obs: Recorder,
     /// Last published per-lane budgets, so epoch folds emit
     /// `BudgetMove` only for lanes whose budget actually changed.
-    last_budgets: HashMap<usize, usize>,
+    last_budgets: IntMap<usize, usize>,
     /// Recently serviced worlds, most recent last (maintained only when
     /// [`SupervisorConfig::prefetch_warm_on_respawn`] is on) — the
     /// respawn path warms the fresh unit's WT/IWT from these.
@@ -399,6 +392,14 @@ impl Engine<'_> {
         if self.supervisor.config().prefetch_warm_on_respawn || self.feedback.prefill_on() {
             self.note_history(&outcome.request);
         }
+        self.push_outcome(outcome);
+    }
+
+    /// The one place an outcome enters this worker's stream: it is
+    /// tallied here, once, so the drain merges per-worker digests
+    /// instead of re-scanning every outcome.
+    fn push_outcome(&mut self, outcome: CallOutcome) {
+        self.tally.record(&outcome);
         self.outcomes.push(outcome);
     }
 
@@ -768,7 +769,6 @@ impl Engine<'_> {
     /// call-history warmers.
     fn deny(&mut self, queued: &Queued, was_stolen: bool, err: CallError) {
         let wait = self.stamp_wait(queued);
-        self.queue_wait_cycles += wait;
         self.emit(
             EventKind::RequestDispatch,
             queued.seq,
@@ -786,7 +786,7 @@ impl Engine<'_> {
         );
         let verdict = CallVerdict::Denied(err);
         self.emit_verdict(queued.seq, &verdict, false);
-        self.outcomes.push(CallOutcome {
+        self.push_outcome(CallOutcome {
             request: queued.req,
             verdict,
             latency_cycles: 0,
@@ -800,7 +800,6 @@ impl Engine<'_> {
     /// Services one request on the classic path and records its outcome.
     fn classic(&mut self, queued: &Queued, was_stolen: bool) {
         let wait = self.stamp_wait(queued);
-        self.queue_wait_cycles += wait;
         self.emit(
             EventKind::RequestDispatch,
             queued.seq,
@@ -939,7 +938,6 @@ impl Engine<'_> {
         let mut broken = false;
         for (queued, was_stolen) in chunk {
             let wait = self.stamp_wait(queued);
-            self.queue_wait_cycles += wait;
             self.emit(EventKind::RequestDispatch, queued.seq, wait, callee.raw());
             if *was_stolen {
                 self.emit(EventKind::RequestSteal, queued.seq, 0, 0);
@@ -1187,14 +1185,14 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         rings: Arc::clone(&ctx.rings),
         prefill: PrefillStats::default(),
         outcomes: Vec::new(),
-        queue_wait_cycles: 0,
+        tally: OutcomeTally::default(),
         stats: SwitchlessWorkerStats::default(),
-        cursors: HashMap::new(),
+        cursors: IntMap::default(),
         faults: ctx.faults.clone(),
         supervisor: Supervisor::new(ctx.supervisor, ctx.index),
         health: Arc::clone(&ctx.health),
         obs: Recorder::for_track(&ctx.obs, ctx.index as u32),
-        last_budgets: HashMap::new(),
+        last_budgets: IntMap::default(),
         call_history: VecDeque::new(),
         awaiting_post_respawn_sample: false,
         authz: ctx.authz.clone(),
@@ -1245,7 +1243,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                     engine.health.escalate(DegradeLevel::Shedding, now);
                     for (queued, _) in batcher.items() {
                         let wait = engine.stamp_wait(queued);
-                        engine.queue_wait_cycles += wait;
                         engine.supervisor.report.dead_lettered += 1;
                         let verdict = CallVerdict::DeadLettered(CallError::CrashLoop {
                             worker: ctx.index,
@@ -1258,7 +1255,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                             queued.req.callee.raw(),
                         );
                         engine.emit_verdict(queued.seq, &verdict, false);
-                        engine.outcomes.push(CallOutcome {
+                        engine.push_outcome(CallOutcome {
                             request: queued.req,
                             verdict,
                             latency_cycles: 0,
@@ -1484,7 +1481,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         engine.unit.manage_wtc_invalidate(engine.platform, wid);
     }
     let outcomes = std::mem::take(&mut engine.outcomes);
-    let queue_wait_cycles = engine.queue_wait_cycles;
+    let tally = std::mem::take(&mut engine.tally);
     let prefill = engine.prefill;
     let switchless = std::mem::take(&mut engine.stats);
     let supervisor_report = std::mem::take(&mut engine.supervisor.report);
@@ -1495,11 +1492,11 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         index: ctx.index,
         meter: ctx.platform.cpu().meter().clone(),
         outcomes,
+        tally,
         batches,
         wt: unit.wt_stats(),
         iwt: unit.iwt_stats(),
         tlb: ctx.platform.tlb_stats(),
-        queue_wait_cycles,
         stolen,
         switchless,
         prefill,

@@ -9,7 +9,9 @@
 //! * `EpochWorldTable::maintain` passes over a table with nothing idle
 //!   to demote and nothing retired to free;
 //! * `Batcher` rounds — form every batch of a mixed-callee,
-//!   mixed-caller load, then split each into caller runs.
+//!   mixed-caller load, then split each into caller runs;
+//! * `RingSet::pop_biased` steals, which rank peer rings by their
+//!   queue-wait EWMAs on every pop.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -138,4 +140,35 @@ fn steady_state_maintenance_and_batch_formation_allocate_nothing() {
     assert!(warm_runs > 3, "batches really split into caller runs");
     assert_eq!(maintenance, 0, "{N} idle maintenance passes allocated");
     assert_eq!(formation, 0, "{N} rounds of batch formation allocated");
+}
+
+#[test]
+fn biased_steals_allocate_nothing() {
+    const N: usize = 1_000;
+    const RINGS: usize = 4;
+
+    let rings: RingSet<u64> = RingSet::new(RINGS, 8);
+    // Ring 3 measurably waits longest; rings 1 and 2 tie at zero, so
+    // the victim order from home 0 is 3, then 1, then 2.
+    for _ in 0..64 {
+        rings.note_wait(3, 50_000);
+    }
+    let before = allocs();
+    let mut order = [0u64; RINGS - 1];
+    for round in 0..N as u64 {
+        for ring in 1..RINGS {
+            rings
+                .try_push(ring, ring as u64)
+                .expect("ring sized for a round");
+        }
+        for slot in &mut order {
+            let (item, stolen) = rings.pop_biased(0).expect("a peer holds an item");
+            assert!(stolen, "home ring 0 is empty: every pop steals");
+            *slot = item;
+        }
+        assert_eq!(order, [3, 1, 2], "victim order in round {round}");
+    }
+    let steals = allocs() - before;
+
+    assert_eq!(steals, 0, "{N} rounds of biased steals allocated");
 }
