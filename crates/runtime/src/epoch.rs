@@ -24,6 +24,17 @@
 //! pointer, and push the old structure onto a limbo list tagged with
 //! the post-swap epoch.
 //!
+//! A lookup writes only what its reader owns, plus the entry's access
+//! stamp. Each worker owns one [`ReaderSlot`] — its pin, lookup count,
+//! reuse-distance histogram and access-tick block on 128-byte-aligned
+//! lines of their own — and bumps its counters with a relaxed load and
+//! store, not a read-modify-write; one more slot serves unpinned
+//! callers under the writer lock. The words every lookup loads (root,
+//! epoch, the slot array) sit in a 128-byte group apart from the
+//! counters writers bump. So no line a lookup writes is shared between
+//! workers except the looked-up entry's own stamp, and a lookup's cost
+//! does not depend on how many workers share the table.
+//!
 //! # Grace periods
 //!
 //! Reclamation is the classic epoch argument. The global epoch `E` is
@@ -48,16 +59,31 @@
 //! # Cold-world eviction
 //!
 //! Resident memory is bounded by the *hot set*, not the live-world
-//! count. Every lookup stamps the entry with a global tick and feeds
-//! the observed reuse distance (current tick − previous stamp) into a
-//! log₂ histogram; maintenance derives the eviction window online as a
-//! multiple of the p90 reuse distance, so the policy tracks the
-//! workload with no hand-set knob. Entries idle longer than the window
-//! are demoted — packed into the compact serialized form of
-//! [`WorldEntry::pack`] inside a paged cold store — and faulted back in
-//! transparently on their next lookup (a *refault*, through the writer
-//! lock). Eviction is invisible to worker caches: an evicted world is
-//! still live, so no invalidation is needed or sent.
+//! count. Every lookup stamps the entry with an access tick and feeds
+//! the observed reuse distance (this stamp − the previous one) into its
+//! reader's log₂ histogram; maintenance sums the histograms and derives
+//! the eviction window online as a multiple of the p90 reuse distance,
+//! so the policy tracks the workload with no hand-set knob. Entries
+//! idle longer than the window are demoted — packed into the compact
+//! serialized form of [`WorldEntry::pack`] inside a paged cold store —
+//! and faulted back in transparently on their next lookup (a *refault*,
+//! through the writer lock). Eviction is invisible to worker caches: an
+//! evicted world is still live, so no invalidation is needed or sent.
+//!
+//! Access ticks come in blocks. A reader reserves [`TICK_BLOCK`] ticks
+//! from the global clock with one `fetch_add` and issues its stamps
+//! from the block; the table's *now* — which paces maintenance, judges
+//! idleness and stamps a newly published entry — is the number of
+//! ticks issued over all readers. With one reader, stamps and now are
+//! exactly the sequence one `fetch_add(1)` per lookup gives, so
+//! eviction decisions are those of a single global tick. With R readers
+//! a stamp leads now by fewer than R × [`TICK_BLOCK`] ticks, and trails
+//! it by the ticks the other readers issue while its reader works
+//! through one block: about (R − 1) × [`TICK_BLOCK`] when readers look
+//! up at similar rates, more for a reader that pauses with a part-used
+//! block. A trailing stamp can only make a world look idle early; the
+//! world is demoted and refaults on its next lookup, which callers
+//! never see, and the window never falls below its 4,096-tick floor.
 //!
 //! Maintenance costs what it does, not what the table holds. A
 //! [`EpochWorldTable::maintain`] pass sweeps up to [`SWEEP_BUCKETS`]
@@ -99,6 +125,13 @@ const MIN_WINDOW: u64 = 4096;
 
 /// Entries per cold-store page.
 const COLD_PAGE_SLOTS: usize = 128;
+
+/// Access ticks a worker's reader slot reserves from the global clock at
+/// a time: one shared read-modify-write per this many lookups.
+const TICK_BLOCK: u64 = 64;
+
+/// Log₂ reuse-distance buckets: a distance's bit length, 0 to 64.
+const DIST_BUCKETS: usize = 65;
 
 /// Lookup ticks between paced maintenance passes: a full sweep of
 /// `buckets` every `window / 8` ticks, with [`MIN_WINDOW`] standing in
@@ -174,6 +207,67 @@ impl TableArray {
     fn bucket(&self, wid: u64) -> &AtomicPtr<Bucket> {
         &self.buckets[(wid & self.mask) as usize]
     }
+}
+
+/// One reader's share of the lookup path's writes: its pin, its counts,
+/// its reuse-distance histogram and its access-tick block. Aligned to
+/// 128 bytes (two cache lines, the adjacent-line prefetch unit) so no
+/// two readers' slots share a line. Only the owning reader writes a
+/// slot — a worker through [`EpochWorldTable::lookup_pinned`], unpinned
+/// callers only under the writer lock — so counters are bumped with a
+/// relaxed load and store ([`bump`]); other threads only read it.
+#[repr(align(128))]
+#[derive(Debug)]
+struct ReaderSlot {
+    /// Epoch this reader pinned; [`QUIESCENT`] when it is not reading.
+    pin: AtomicU64,
+    /// Lookups served through this slot.
+    lookups: AtomicU64,
+    /// Access stamps issued through this slot: its reuse-distance
+    /// samples, and its share of the table's now.
+    stamps: AtomicU64,
+    /// The last tick issued from the current block.
+    block_next: AtomicU64,
+    /// The current block's last tick; a block is spent when
+    /// `block_next` reaches it.
+    block_end: AtomicU64,
+    /// Ticks reserved per block.
+    block: u64,
+    /// Log₂ histogram of this slot's reuse distances.
+    dist_hist: [AtomicU64; DIST_BUCKETS],
+}
+
+impl ReaderSlot {
+    fn new(block: u64) -> ReaderSlot {
+        ReaderSlot {
+            pin: AtomicU64::new(QUIESCENT),
+            lookups: AtomicU64::new(0),
+            stamps: AtomicU64::new(0),
+            block_next: AtomicU64::new(0),
+            block_end: AtomicU64::new(0),
+            block,
+            dist_hist: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+/// Adds one to a counter only one thread writes: a relaxed load and
+/// store, where a `fetch_add` would take the line exclusive with a
+/// locked read-modify-write.
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
+/// The words every lookup loads, in a 128-byte group of their own, so
+/// the counters writers bump (`live`, `resident`, …) never invalidate
+/// them.
+#[repr(align(128))]
+#[derive(Debug)]
+struct ReadSide {
+    root: AtomicPtr<TableArray>,
+    epoch: AtomicU64,
+    /// One slot per worker, then the unpinned callers' slot.
+    readers: Box<[ReaderSlot]>,
 }
 
 /// A structure retired from the published tree, freeable once every
@@ -293,10 +387,12 @@ pub struct TableHealth {
     pub eviction_window: u64,
     /// Cold-store footprint in bytes.
     pub cold_bytes: u64,
-    /// Lookups served so far.
+    /// Lookups served so far: the sum of every reader slot's count.
     pub lookups: u64,
-    /// Writer-lock acquisitions (registration, deletion, refault,
-    /// unpinned lookups and maintenance passes).
+    /// Writer-lock acquisitions: registration, deletion, refault,
+    /// unpinned lookups, context lookups (the
+    /// [`EpochWorldTable::lookup_context`] behind every IWT miss) and
+    /// maintenance passes.
     pub writer_acquisitions: u64,
     /// Writer-lock acquisitions that found the lock held and blocked.
     pub writer_contended: u64,
@@ -309,19 +405,16 @@ pub struct TableHealth {
 /// memory (`tests/equivalence.rs` pins the two together).
 #[derive(Debug)]
 pub struct EpochWorldTable {
-    root: AtomicPtr<TableArray>,
+    read: ReadSide,
     /// Bucket count of the published root, stored under the writer lock
     /// whenever the root grows, so readers holding neither a pin nor the
     /// lock never dereference a root a concurrent grow may retire.
     bucket_count: AtomicUsize,
-    epoch: AtomicU64,
-    /// One pin slot per worker; QUIESCENT when the worker is not reading.
-    pins: Vec<AtomicU64>,
-    /// Global lookup tick; reuse distances are measured in these.
+    /// The global access clock: ticks reserved so far, a block at a
+    /// time. The table's now is the ticks issued ([`Self::now`]).
     tick: AtomicU64,
     live: AtomicU64,
     resident: AtomicU64,
-    lookups: AtomicU64,
     evictions: AtomicU64,
     refaults: AtomicU64,
     refaults_unreported: AtomicU64,
@@ -331,16 +424,14 @@ pub struct EpochWorldTable {
     writer_contended: AtomicU64,
     /// Derived eviction window; `u64::MAX` while calibrating.
     window: AtomicU64,
-    /// Lookup tick at which the next [`EpochWorldTable::maintain_paced`]
+    /// Tick of now at which the next [`EpochWorldTable::maintain_paced`]
     /// pass is due.
     maintain_due: AtomicU64,
-    /// Lookup ticks between paced passes, refreshed by every pass.
+    /// Ticks between paced passes, refreshed by every pass.
     pace: AtomicU64,
     /// Whether maintenance may calibrate a window and demote cold
     /// worlds (always on outside this module's tests).
     evicts: bool,
-    dist_hist: Vec<AtomicU64>,
-    dist_samples: AtomicU64,
     retired_len: AtomicUsize,
     retired: Mutex<Vec<Wid>>,
     writer: Mutex<WriterState>,
@@ -354,8 +445,8 @@ unsafe impl Send for EpochWorldTable {}
 unsafe impl Sync for EpochWorldTable {}
 
 impl EpochWorldTable {
-    /// Creates a table with `worker_slots` reader pin slots and the given
-    /// per-VM quota.
+    /// Creates a table with `worker_slots` worker reader slots (plus one
+    /// for unpinned callers) and the given per-VM quota.
     ///
     /// # Panics
     ///
@@ -364,17 +455,23 @@ impl EpochWorldTable {
         assert!(worker_slots > 0, "need at least one reader slot");
         assert!(quota > 0, "quota must be positive");
         let buckets = (worker_slots * 4).next_power_of_two().max(64);
+        // Unpinned callers take one tick at a time: they hold the writer
+        // lock anyway, and a setup-time lookup then leaves no part-used
+        // block ahead of the workers' first.
+        let readers = (0..worker_slots)
+            .map(|_| ReaderSlot::new(TICK_BLOCK))
+            .chain([ReaderSlot::new(1)])
+            .collect();
         EpochWorldTable {
-            root: AtomicPtr::new(TableArray::alloc(buckets)),
+            read: ReadSide {
+                root: AtomicPtr::new(TableArray::alloc(buckets)),
+                epoch: AtomicU64::new(1),
+                readers,
+            },
             bucket_count: AtomicUsize::new(buckets),
-            epoch: AtomicU64::new(1),
-            pins: (0..worker_slots)
-                .map(|_| AtomicU64::new(QUIESCENT))
-                .collect(),
             tick: AtomicU64::new(0),
             live: AtomicU64::new(0),
             resident: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             refaults: AtomicU64::new(0),
             refaults_unreported: AtomicU64::new(0),
@@ -386,8 +483,6 @@ impl EpochWorldTable {
             maintain_due: AtomicU64::new(0),
             pace: AtomicU64::new(pace_interval(u64::MAX, buckets)),
             evicts: true,
-            dist_hist: (0..65).map(|_| AtomicU64::new(0)).collect(),
-            dist_samples: AtomicU64::new(0),
             retired_len: AtomicUsize::new(0),
             retired: Mutex::new(Vec::new()),
             writer: Mutex::new(WriterState {
@@ -412,9 +507,24 @@ impl EpochWorldTable {
         self.quota
     }
 
-    /// Reader pin slots (one per worker).
+    /// Worker reader slots, one per worker; slots `0..worker_slots()`
+    /// are valid for [`EpochWorldTable::lookup_pinned`].
     pub fn worker_slots(&self) -> usize {
-        self.pins.len()
+        self.read.readers.len() - 1
+    }
+
+    /// The unpinned callers' slot, written only under the writer lock.
+    fn unpinned_reader(&self) -> &ReaderSlot {
+        &self.read.readers[self.worker_slots()]
+    }
+
+    /// The table's now: access ticks issued over all reader slots.
+    fn now(&self) -> u64 {
+        self.read
+            .readers
+            .iter()
+            .map(|r| r.stamps.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Buckets in the currently-published root array. Reads the mirror
@@ -442,15 +552,32 @@ impl EpochWorldTable {
     /// walks the published snapshot, unpins. Falls back to the writer
     /// lock only on a resident miss (cold-store refault or a genuine
     /// miss).
+    ///
+    /// A slot belongs to one thread: at most one thread may look up
+    /// through a given `slot` at a time. The pin protocol relies on it
+    /// (a second thread's unpin would release the first's pin), and so
+    /// do the slot's counters and tick block, which are written without
+    /// read-modify-writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= self.worker_slots()`: the slot past the
+    /// workers' belongs to unpinned callers.
     pub fn lookup_pinned(&self, slot: usize, wid: Wid) -> Option<WorldEntry> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let pin = &self.pins[slot];
+        assert!(
+            slot < self.worker_slots(),
+            "reader slot {slot} is not a worker slot"
+        );
+        let reader = &self.read.readers[slot];
+        bump(&reader.lookups);
         // Pin order matters: publish our epoch *before* loading the root
         // so a writer that swaps after our pin-store tags its garbage
         // with an epoch greater than ours.
-        pin.store(self.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
-        let hit = self.resident_lookup(wid, true);
-        pin.store(QUIESCENT, Ordering::Release);
+        reader
+            .pin
+            .store(self.read.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
+        let hit = self.resident_lookup(wid, Some(reader));
+        reader.pin.store(QUIESCENT, Ordering::Release);
         match hit {
             Some(entry) => Some(entry),
             None => self.miss_slow(wid),
@@ -460,31 +587,47 @@ impl EpochWorldTable {
     /// Unpinned lookup for external (non-worker) callers: takes the
     /// writer lock, which also excludes concurrent publication.
     pub fn lookup(&self, wid: Wid) -> Option<WorldEntry> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut st = self.lock_writer();
-        if let Some(entry) = self.resident_lookup(wid, true) {
+        let reader = self.unpinned_reader();
+        bump(&reader.lookups);
+        if let Some(entry) = self.resident_lookup(wid, Some(reader)) {
             return Some(entry);
         }
         self.refault_locked(&mut st, wid)
     }
 
     /// Walks the published tree. Caller must either hold a pin or the
-    /// writer lock. `stamp` updates the access tick and the
-    /// reuse-distance histogram on a hit.
-    fn resident_lookup(&self, wid: Wid, stamp: bool) -> Option<WorldEntry> {
-        let arr = unsafe { &*self.root.load(Ordering::SeqCst) };
+    /// writer lock. On a hit, `stamp` names the reader whose tick stamps
+    /// the entry and whose histogram takes the reuse distance.
+    fn resident_lookup(&self, wid: Wid, stamp: Option<&ReaderSlot>) -> Option<WorldEntry> {
+        let arr = unsafe { &*self.read.root.load(Ordering::SeqCst) };
         let bucket = unsafe { &*arr.bucket(wid.raw()).load(Ordering::SeqCst) };
         let slot = bucket.find(wid.raw())?;
-        if stamp {
-            let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(reader) = stamp {
+            let now = self.issue_tick(reader);
             let prev = slot.last_access.swap(now, Ordering::Relaxed);
             let dist = now.saturating_sub(prev);
             // log2 bucket index = bit length of the distance.
             let idx = (64 - dist.leading_zeros()) as usize;
-            self.dist_hist[idx].fetch_add(1, Ordering::Relaxed);
-            self.dist_samples.fetch_add(1, Ordering::Relaxed);
+            bump(&reader.dist_hist[idx]);
+            bump(&reader.stamps);
         }
         Some(slot.entry)
+    }
+
+    /// The next access tick from `reader`'s block, reserving a fresh
+    /// block from the global clock once the current one is spent.
+    fn issue_tick(&self, reader: &ReaderSlot) -> u64 {
+        let mut next = reader.block_next.load(Ordering::Relaxed);
+        if next == reader.block_end.load(Ordering::Relaxed) {
+            next = self.tick.fetch_add(reader.block, Ordering::Relaxed);
+            reader
+                .block_end
+                .store(next + reader.block, Ordering::Relaxed);
+        }
+        next += 1;
+        reader.block_next.store(next, Ordering::Relaxed);
+        next
     }
 
     /// Resident-miss slow path: re-check under the writer lock (the
@@ -492,7 +635,7 @@ impl EpochWorldTable {
     /// store.
     fn miss_slow(&self, wid: Wid) -> Option<WorldEntry> {
         let mut st = self.lock_writer();
-        if let Some(entry) = self.resident_lookup(wid, true) {
+        if let Some(entry) = self.resident_lookup(wid, Some(self.unpinned_reader())) {
             return Some(entry);
         }
         self.refault_locked(&mut st, wid)
@@ -515,7 +658,7 @@ impl EpochWorldTable {
         // fetch_add returns the pre-increment value; the tag is the
         // post-increment epoch, so "pinned >= tag" implies the reader
         // pinned after the swap that orphaned this structure.
-        let tag = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        let tag = self.read.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         st.limbo.push(LimboItem {
             epoch: tag,
             garbage,
@@ -538,19 +681,19 @@ impl EpochWorldTable {
         if resident + 1 > self.bucket_count() * MAX_AVG_BUCKET {
             self.grow(st);
         }
-        let arr = unsafe { &*self.root.load(Ordering::SeqCst) };
+        let arr = unsafe { &*self.read.root.load(Ordering::SeqCst) };
         let old = unsafe { &*arr.bucket(entry.wid.raw()).load(Ordering::SeqCst) };
         let mut slots: Vec<Slot> = old.slots.iter().map(Slot::duplicate).collect();
         let at = slots
             .binary_search_by_key(&entry.wid.raw(), |s| s.entry.wid.raw())
             .expect_err("WIDs are never reused, so an insert never collides");
-        slots.insert(at, Slot::new(entry, self.tick.load(Ordering::Relaxed)));
+        slots.insert(at, Slot::new(entry, self.now()));
         self.publish_bucket(st, arr, entry.wid.raw(), Bucket { slots });
     }
 
     /// Copy-on-write removal. Returns false if `wid` was not resident.
     fn publish_remove(&self, st: &mut WriterState, wid: Wid) -> bool {
-        let arr = unsafe { &*self.root.load(Ordering::SeqCst) };
+        let arr = unsafe { &*self.read.root.load(Ordering::SeqCst) };
         let old = unsafe { &*arr.bucket(wid.raw()).load(Ordering::SeqCst) };
         let Ok(at) = old
             .slots
@@ -572,7 +715,7 @@ impl EpochWorldTable {
     /// Doubles the root radix, rehashing every resident entry into a new
     /// array, and retires the old array and all its buckets.
     fn grow(&self, st: &mut WriterState) {
-        let old_ptr = self.root.load(Ordering::SeqCst);
+        let old_ptr = self.read.root.load(Ordering::SeqCst);
         let old = unsafe { &*old_ptr };
         let doubled = old.buckets.len() * 2;
         let fresh_ptr = TableArray::alloc(doubled);
@@ -589,7 +732,7 @@ impl EpochWorldTable {
             let b = unsafe { &mut *bucket.load(Ordering::SeqCst) };
             b.slots.sort_by_key(|s| s.entry.wid.raw());
         }
-        let prev = self.root.swap(fresh_ptr, Ordering::SeqCst);
+        let prev = self.read.root.swap(fresh_ptr, Ordering::SeqCst);
         debug_assert_eq!(prev, old_ptr);
         self.bucket_count.store(doubled, Ordering::SeqCst);
         for bucket in &old.buckets {
@@ -662,7 +805,7 @@ impl EpochWorldTable {
         // context index unlinks without any scan. Safe without a pin:
         // the writer lock excludes concurrent publication.
         let entry = self
-            .resident_lookup(wid, false)
+            .resident_lookup(wid, None)
             .or_else(|| st.cold.get(wid.raw()))
             .ok_or(WorldError::InvalidWid { wid })?;
         if self.publish_remove(&mut st, wid) {
@@ -760,8 +903,8 @@ impl EpochWorldTable {
         }
     }
 
-    /// [`EpochWorldTable::maintain`], paced by the lookup clock: runs a
-    /// pass only once enough lookup ticks have passed since the previous
+    /// [`EpochWorldTable::maintain`], paced by the access clock: runs a
+    /// pass only once enough ticks of now have passed since the previous
     /// paced pass for the sweep to rotate through the whole table every
     /// `window / 8` ticks, i.e. every
     /// `window / 8 / ceil(buckets / SWEEP_BUCKETS)` ticks, as of the
@@ -772,7 +915,7 @@ impl EpochWorldTable {
     /// callers offer a pass. Of concurrent callers that find a pass due,
     /// one runs it.
     pub fn maintain_paced(&self) -> MaintainOutcome {
-        let now = self.tick.load(Ordering::Relaxed);
+        let now = self.now();
         let due = self.maintain_due.load(Ordering::Relaxed);
         if now < due {
             return MaintainOutcome::default();
@@ -789,18 +932,24 @@ impl EpochWorldTable {
     }
 
     /// Derives the eviction window from the log₂ reuse-distance
-    /// histogram: 8× the p90 observed reuse distance, floored. Until
-    /// enough samples accumulate the window stays `u64::MAX` (eviction
-    /// off), so tiny runs never evict.
+    /// histograms, summed over reader slots: 8× the p90 observed reuse
+    /// distance, floored. Until enough samples accumulate the window
+    /// stays `u64::MAX` (eviction off), so tiny runs never evict.
     fn recompute_window(&self) {
-        let samples = self.dist_samples.load(Ordering::Relaxed);
+        // Every stamp is one reuse-distance sample.
+        let samples = self.now();
         if !self.evicts || samples < MIN_WINDOW_SAMPLES {
             return;
         }
         let target = samples - samples / 10; // p90
         let mut cum = 0u64;
-        for (idx, bucket) in self.dist_hist.iter().enumerate() {
-            cum += bucket.load(Ordering::Relaxed);
+        for idx in 0..DIST_BUCKETS {
+            cum += self
+                .read
+                .readers
+                .iter()
+                .map(|r| r.dist_hist[idx].load(Ordering::Relaxed))
+                .sum::<u64>();
             if cum >= target {
                 // Bucket idx covers distances < 2^idx; window = 8x that.
                 let p90 = 1u64.checked_shl(idx as u32).unwrap_or(u64::MAX / 8);
@@ -818,8 +967,8 @@ impl EpochWorldTable {
         if window == u64::MAX {
             return 0;
         }
-        let now = self.tick.load(Ordering::Relaxed);
-        let arr = unsafe { &*self.root.load(Ordering::SeqCst) };
+        let now = self.now();
+        let arr = unsafe { &*self.read.root.load(Ordering::SeqCst) };
         let buckets = arr.buckets.len();
         let mut evicted = 0u64;
         for _ in 0..SWEEP_BUCKETS.min(buckets) {
@@ -867,16 +1016,17 @@ impl EpochWorldTable {
     }
 
     /// Frees limbo structures whose grace period has elapsed: a retired
-    /// structure tagged `t` is freeable once every pin slot is quiescent
-    /// or holds an epoch `>= t`.
+    /// structure tagged `t` is freeable once every reader's pin is
+    /// quiescent or holds an epoch `>= t`.
     fn reclaim(&self, st: &mut WriterState) -> u64 {
         if st.limbo.is_empty() {
             return 0;
         }
         let safe_before = self
-            .pins
+            .read
+            .readers
             .iter()
-            .map(|p| p.load(Ordering::SeqCst))
+            .map(|r| r.pin.load(Ordering::SeqCst))
             .filter(|&v| v != QUIESCENT)
             .min()
             .unwrap_or(u64::MAX);
@@ -917,7 +1067,12 @@ impl EpochWorldTable {
             retired_pending: self.limbo_len.load(Ordering::Relaxed),
             eviction_window: if window == u64::MAX { 0 } else { window },
             cold_bytes: self.cold_bytes() as u64,
-            lookups: self.lookups.load(Ordering::Relaxed),
+            lookups: self
+                .read
+                .readers
+                .iter()
+                .map(|r| r.lookups.load(Ordering::Relaxed))
+                .sum(),
             writer_acquisitions: self.writer_acquisitions.load(Ordering::Relaxed),
             writer_contended: self.writer_contended.load(Ordering::Relaxed),
         }
@@ -950,7 +1105,7 @@ impl Drop for EpochWorldTable {
                 }
             }
         }
-        let root = self.root.swap(ptr::null_mut(), Ordering::SeqCst);
+        let root = self.read.root.swap(ptr::null_mut(), Ordering::SeqCst);
         if !root.is_null() {
             unsafe {
                 let arr = Box::from_raw(root);
@@ -976,7 +1131,7 @@ impl WorldLookup for EpochWorldTable {
 }
 
 /// A worker's view of the world table: WID lookups go through the
-/// worker's pin slot (wait-free); an unpinned view falls back to the
+/// worker's reader slot (wait-free); an unpinned view falls back to the
 /// writer-locked [`EpochWorldTable::lookup`].
 #[derive(Debug, Clone, Copy)]
 pub struct TableView<'a> {
@@ -985,7 +1140,10 @@ pub struct TableView<'a> {
 }
 
 impl<'a> TableView<'a> {
-    /// A view bound to worker `slot`'s pin.
+    /// A view bound to worker `slot`'s reader slot. The view's thread
+    /// must be the only one looking up through `slot` (see
+    /// [`EpochWorldTable::lookup_pinned`]), and `slot` must be below
+    /// [`EpochWorldTable::worker_slots`].
     pub fn for_worker(table: &'a EpochWorldTable, slot: usize) -> TableView<'a> {
         TableView {
             table,
@@ -1115,7 +1273,9 @@ mod tests {
             // SAFETY: the writer lock is held, and every grow and
             // reclaim holds it, so the published root cannot be retired
             // or freed while it is read here.
-            unsafe { &*t.root.load(Ordering::SeqCst) }.buckets.len()
+            unsafe { &*t.read.root.load(Ordering::SeqCst) }
+                .buckets
+                .len()
         };
         assert_eq!(t.bucket_count(), published);
         for raw in 1..=n {
@@ -1182,7 +1342,7 @@ mod tests {
             "one pass sees every bucket"
         );
         let published = |t: &EpochWorldTable| {
-            let root = t.root.load(Ordering::SeqCst);
+            let root = t.read.root.load(Ordering::SeqCst);
             let buckets: Vec<*mut Bucket> = unsafe { &*root }
                 .buckets
                 .iter()
@@ -1190,9 +1350,17 @@ mod tests {
                 .collect();
             (root, buckets)
         };
-        let before = (published(&t), t.epoch.load(Ordering::SeqCst), t.health());
+        let before = (
+            published(&t),
+            t.read.epoch.load(Ordering::SeqCst),
+            t.health(),
+        );
         assert_eq!(t.maintain(), MaintainOutcome::default());
-        let after = (published(&t), t.epoch.load(Ordering::SeqCst), t.health());
+        let after = (
+            published(&t),
+            t.read.epoch.load(Ordering::SeqCst),
+            t.health(),
+        );
         assert_eq!(after.0, before.0, "same root and bucket addresses");
         assert_eq!(after.1, before.1, "no retire bumped the epoch");
         assert_eq!(after.2.retired_pending, before.2.retired_pending);
@@ -1223,7 +1391,7 @@ mod tests {
         let interval = window / 8 / t.bucket_count().div_ceil(SWEEP_BUCKETS) as u64;
         // The cold world's last access; it is idle from here on.
         t.lookup_pinned(0, cold).unwrap();
-        let last = t.tick.load(Ordering::Relaxed);
+        let last = t.now();
         // Offers are no-ops until `interval` ticks follow a pass.
         let seen = passes();
         while passes() == seen {
@@ -1243,7 +1411,7 @@ mod tests {
         // window + window / 8 ticks of its last access.
         while t.evictions.load(Ordering::Relaxed) == 0 {
             batch();
-            let idle = t.tick.load(Ordering::Relaxed) - last;
+            let idle = t.now() - last;
             assert!(
                 idle <= window + window / 8,
                 "not demoted after {idle} ticks"
@@ -1287,7 +1455,9 @@ mod tests {
         t.create(host(0x1000)).unwrap();
         // Pin slot 1 at the current epoch by hand (simulating a reader
         // parked mid-lookup), then force a publication.
-        t.pins[1].store(t.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
+        t.read.readers[1]
+            .pin
+            .store(t.read.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
         t.create(host(0x2000)).unwrap(); // swaps a bucket, retires the old one
         let before = t.health().retired_pending;
         assert!(before > 0);
@@ -1299,7 +1469,7 @@ mod tests {
             "pinned reader must hold back the newest garbage (freed={freed})"
         );
         // Unpin: everything reclaims.
-        t.pins[1].store(QUIESCENT, Ordering::SeqCst);
+        t.read.readers[1].pin.store(QUIESCENT, Ordering::SeqCst);
         t.maintain();
         assert_eq!(t.health().retired_pending, 0);
         assert!(t.health().grace_reclaims >= before);
@@ -1407,5 +1577,219 @@ mod tests {
     #[should_panic(expected = "at least one reader slot")]
     fn zero_slots_panics() {
         EpochWorldTable::new(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a worker slot")]
+    fn pinned_lookup_through_the_unpinned_slot_panics() {
+        let t = EpochWorldTable::new(2, 4);
+        let wid = t.create(host(0x1000)).unwrap();
+        t.lookup_pinned(t.worker_slots(), wid);
+    }
+
+    /// The eviction policy driven by one global tick, taken with a
+    /// `fetch_add(1)` per stamping lookup: the reference a single
+    /// reader's tick blocks must reproduce decision for decision. One
+    /// pass sweeps the whole table, so the schedule below keeps the
+    /// table at most [`SWEEP_BUCKETS`] buckets wide.
+    struct GlobalTickModel {
+        tick: u64,
+        /// Resident worlds and their last-access stamps.
+        stamps: HashMap<u64, u64>,
+        cold: std::collections::HashSet<u64>,
+        hist: [u64; DIST_BUCKETS],
+        window: u64,
+        due: u64,
+        pace: u64,
+        buckets: usize,
+    }
+
+    impl GlobalTickModel {
+        fn new(buckets: usize) -> GlobalTickModel {
+            GlobalTickModel {
+                tick: 0,
+                stamps: HashMap::new(),
+                cold: Default::default(),
+                hist: [0; DIST_BUCKETS],
+                window: u64::MAX,
+                due: 0,
+                pace: pace_interval(u64::MAX, buckets),
+                buckets,
+            }
+        }
+
+        fn register(&mut self, wid: Wid) {
+            self.stamps.insert(wid.raw(), self.tick);
+        }
+
+        /// Looks `wid` up; returns whether it refaulted.
+        fn lookup(&mut self, wid: Wid) -> bool {
+            match self.stamps.get_mut(&wid.raw()) {
+                Some(prev) => {
+                    self.tick += 1;
+                    let dist = self.tick.saturating_sub(*prev);
+                    *prev = self.tick;
+                    self.hist[(64 - dist.leading_zeros()) as usize] += 1;
+                    false
+                }
+                None => {
+                    assert!(self.cold.remove(&wid.raw()), "{wid} is live");
+                    self.stamps.insert(wid.raw(), self.tick);
+                    true
+                }
+            }
+        }
+
+        /// A paced pass: `None` when none is due, else the count demoted.
+        fn maintain_paced(&mut self) -> Option<u64> {
+            if self.tick < self.due {
+                return None;
+            }
+            self.due = self.tick + self.pace;
+            let samples = self.tick;
+            if samples >= MIN_WINDOW_SAMPLES {
+                let target = samples - samples / 10;
+                let mut cum = 0;
+                for (idx, n) in self.hist.iter().enumerate() {
+                    cum += n;
+                    if cum >= target {
+                        self.window = (8u64 << idx).max(MIN_WINDOW);
+                        break;
+                    }
+                }
+            }
+            let (tick, window) = (self.tick, self.window);
+            let idle: Vec<u64> = self
+                .stamps
+                .iter()
+                .filter(|&(_, &stamp)| window != u64::MAX && tick - stamp > window)
+                .map(|(&wid, _)| wid)
+                .collect();
+            for wid in &idle {
+                self.stamps.remove(wid);
+                self.cold.insert(*wid);
+            }
+            self.pace = pace_interval(self.window, self.buckets);
+            Some(idle.len() as u64)
+        }
+    }
+
+    #[test]
+    fn one_reader_demotes_and_refaults_exactly_as_one_global_tick() {
+        let t = EpochWorldTable::new(1, 1 << 16);
+        let mut model = GlobalTickModel::new(t.bucket_count());
+        let mut rng = machine::rng::SplitMix64::new(0x7EC5);
+        let mut wids = Vec::new();
+        fn register(t: &EpochWorldTable, model: &mut GlobalTickModel, wids: &mut Vec<Wid>) {
+            let wid = t.create(host(0x1000 * (wids.len() as u64 + 1))).unwrap();
+            model.register(wid);
+            wids.push(wid);
+        }
+        for _ in 0..512 {
+            register(&t, &mut model, &mut wids);
+        }
+        let (mut evicted, mut refaulted) = (0, 0);
+        for step in 0..60_000 {
+            if rng.chance(0.002) && wids.len() < 1024 {
+                register(&t, &mut model, &mut wids);
+            } else {
+                // A hot set of 16 takes 95% of lookups; the tail idles
+                // past the window, is demoted and refaults.
+                let span = if rng.chance(0.95) { 16 } else { wids.len() };
+                let wid = wids[rng.below(span as u64) as usize];
+                let before = t.health().refaults;
+                assert_eq!(t.lookup_pinned(0, wid).unwrap().wid, wid);
+                let refault = t.health().refaults > before;
+                assert_eq!(refault, model.lookup(wid), "step {step}: {wid}");
+                refaulted += u64::from(refault);
+            }
+            assert_eq!(t.now(), model.tick, "step {step}: now");
+            let outcome = t.maintain_paced();
+            match model.maintain_paced() {
+                None => assert_eq!(outcome, MaintainOutcome::default(), "step {step}"),
+                Some(demoted) => {
+                    assert_eq!(outcome.evicted, demoted, "step {step}: demoted");
+                    evicted += demoted;
+                    let cold: std::collections::HashSet<u64> =
+                        t.lock_writer().cold.index.keys().copied().collect();
+                    assert_eq!(cold, model.cold, "step {step}: the cold set");
+                }
+            }
+        }
+        assert!(t.bucket_count() <= SWEEP_BUCKETS, "one pass sweeps all");
+        assert_eq!(t.window.load(Ordering::Relaxed), model.window);
+        assert!(evicted > 100 && refaulted > 100, "{evicted} {refaulted}");
+    }
+
+    #[test]
+    fn concurrent_readers_account_every_lookup_and_tick() {
+        const READERS: usize = 3;
+        const LOOKUPS: u64 = 20_000;
+        let t = EpochWorldTable::new(READERS, 1 << 16);
+        let wids: Vec<Wid> = (0..64)
+            .map(|i| t.create(host(0x1000 * (i + 1))).unwrap())
+            .collect();
+        // Every tenth lookup names a world that was never registered: it
+        // counts as a lookup and stamps nothing.
+        let hits_per_reader = LOOKUPS - LOOKUPS / 10;
+        std::thread::scope(|s| {
+            for slot in 0..READERS {
+                let (t, wids) = (&t, &wids);
+                s.spawn(move || {
+                    for i in 0..LOOKUPS {
+                        if i % 10 == 9 {
+                            assert!(t.lookup_pinned(slot, Wid::from_raw(1 << 40)).is_none());
+                        } else {
+                            let wid = wids[(i as usize * 7 + slot) % wids.len()];
+                            assert_eq!(t.lookup_pinned(slot, wid).unwrap().wid, wid);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(t.health().lookups, READERS as u64 * LOOKUPS);
+        let hits = READERS as u64 * hits_per_reader;
+        for (slot, reader) in t.read.readers.iter().enumerate() {
+            let stamped = if slot < READERS { hits_per_reader } else { 0 };
+            assert_eq!(
+                reader.stamps.load(Ordering::Relaxed),
+                stamped,
+                "slot {slot}"
+            );
+            let samples: u64 = reader
+                .dist_hist
+                .iter()
+                .map(|n| n.load(Ordering::Relaxed))
+                .sum();
+            assert_eq!(samples, stamped, "slot {slot}: one sample per stamp");
+        }
+        assert_eq!(t.now(), hits, "now is the ticks issued");
+        // What the clock reserved beyond now is the readers' unspent
+        // block remainders.
+        let reserved = t.tick.load(Ordering::Relaxed);
+        assert!(
+            reserved >= hits && reserved - hits < READERS as u64 * TICK_BLOCK,
+            "reserved {reserved}, issued {hits}"
+        );
+    }
+
+    #[test]
+    fn reader_slots_and_read_side_words_own_their_lines() {
+        assert!(std::mem::align_of::<ReaderSlot>() >= 128);
+        assert!(std::mem::align_of::<ReadSide>() >= 128);
+        let t = EpochWorldTable::new(4, 16);
+        // Inclusive range of the 128-byte blocks a value occupies.
+        fn blocks<T>(value: &T) -> (usize, usize) {
+            let at = value as *const T as usize;
+            (at / 128, (at + std::mem::size_of::<T>() - 1) / 128)
+        }
+        let mut spans = vec![blocks(&t.read)];
+        spans.extend(t.read.readers.iter().map(blocks));
+        assert_eq!(spans.len(), t.worker_slots() + 2);
+        for (i, a) in spans.iter().enumerate() {
+            for b in &spans[i + 1..] {
+                assert!(a.1 < b.0 || b.1 < a.0, "{a:?} and {b:?} share a block");
+            }
+        }
     }
 }

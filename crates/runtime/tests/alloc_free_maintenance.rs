@@ -8,6 +8,9 @@
 //!
 //! * `EpochWorldTable::maintain` passes over a table with nothing idle
 //!   to demote and nothing retired to free;
+//! * pinned lookups on a resident table, each followed by the paced
+//!   maintenance offer a worker makes at its batch boundary (the tick
+//!   blocks and per-reader counters live in preallocated slots);
 //! * `Batcher` rounds — form every batch of a mixed-callee,
 //!   mixed-caller load, then split each into caller runs;
 //! * `RingSet::pop_biased` steals, which rank peer rings by their
@@ -140,6 +143,52 @@ fn steady_state_maintenance_and_batch_formation_allocate_nothing() {
     assert!(warm_runs > 3, "batches really split into caller runs");
     assert_eq!(maintenance, 0, "{N} idle maintenance passes allocated");
     assert_eq!(formation, 0, "{N} rounds of batch formation allocated");
+}
+
+#[test]
+fn pinned_lookups_with_paced_maintenance_allocate_nothing() {
+    const N: usize = 10_000;
+
+    let table = EpochWorldTable::new(1, 1 << 16);
+    let wids: Vec<Wid> = (0..256u64)
+        .map(|i| {
+            table
+                .create(WorldDescriptor::host_user(0x1000 + i * 8, 0xE000))
+                .expect("register")
+        })
+        .collect();
+    // Calibrate the window with every entry stamped well inside it; the
+    // pass frees the garbage registration retired.
+    for round in 0..16_384 {
+        table
+            .lookup_pinned(0, wids[round % wids.len()])
+            .expect("live");
+    }
+    table.maintain();
+    let health = table.health();
+    assert!(health.eviction_window > 0, "calibrated: paced passes sweep");
+    assert_eq!(health.retired_pending, 0);
+
+    let passes = health.writer_acquisitions;
+    let before = allocs();
+    for round in 0..N {
+        table
+            .lookup_pinned(0, wids[round % wids.len()])
+            .expect("resident");
+        assert_eq!(table.maintain_paced(), MaintainOutcome::default());
+    }
+    let spent = allocs() - before;
+
+    let health = table.health();
+    assert!(
+        health.writer_acquisitions > passes,
+        "paced passes really ran"
+    );
+    assert_eq!(health.resident, wids.len() as u64, "nothing demoted");
+    assert_eq!(
+        spent, 0,
+        "{N} pinned lookups with paced maintenance allocated"
+    );
 }
 
 #[test]
