@@ -915,8 +915,13 @@ impl EpochWorldTable {
     /// callers offer a pass. Of concurrent callers that find a pass due,
     /// one runs it.
     pub fn maintain_paced(&self) -> MaintainOutcome {
-        let now = self.now();
         let due = self.maintain_due.load(Ordering::Relaxed);
+        // The ticks reserved bound now from above, so most offers end
+        // here without reading any reader's slot.
+        if self.tick.load(Ordering::Relaxed) < due {
+            return MaintainOutcome::default();
+        }
+        let now = self.now();
         if now < due {
             return MaintainOutcome::default();
         }
