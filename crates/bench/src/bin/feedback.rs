@@ -1,38 +1,36 @@
-//! Profile-guided feedback-plane ablation: emit `BENCH_feedback.json`.
+//! Trace-driven prefill ablation: emit `BENCH_feedback.json`.
 //!
-//! The workload is the adversarial one the plane was built for:
+//! The workload is the adversarial one prefill was built for:
 //! [`workloads::shifting_hotspot`] — Zipf(1.3) endpoints over
 //! forty-eight guest worlds (more worlds than WT/IWT slots, so the
 //! world-table caches churn) whose hot set is re-permuted every phase
-//! on a seeded
-//! virtual-time schedule. Each shift invalidates everything the control
-//! plane has learned at once: per-lane budgets anneal onto lanes that
-//! just went cold, steal victims stop being the backlogged rings, and
-//! the recorded call trace stops covering the pairs the next drains
-//! will hit.
+//! on a seeded virtual-time schedule. Each shift invalidates what the
+//! runtime has learned at once: per-lane budgets anneal onto lanes that
+//! just went cold, and the recorded call trace stops covering the pairs
+//! the next drains will hit.
 //!
-//! Points (all on the same seeded stream, switchless adaptive):
+//! Points (all on the same seeded stream, switchless adaptive, the one
+//! occupancy-heuristic budget controller):
 //!
-//! * **adaptive** — the PR-3 occupancy-heuristic controller,
-//!   round-robin stealing, no prefill ([`FeedbackConfig::off`]).
-//! * **feedback** — the full closed loop ([`FeedbackConfig::on`]):
-//!   latency-driven budgets, queue-wait-biased stealing, trace-driven
-//!   WT/IWT/TLB prefill.
-//! * **fb-budgets / fb-steal / fb-prefill** — each policy alone, so the
-//!   JSON records where the win comes from.
+//! * **adaptive** — no prefill (`SwitchlessConfig::prefill` off).
+//! * **feedback** — trace-driven WT/IWT/TLB prefill on.
+//!
+//! The document also carries `historical`: the frozen figures of the
+//! latency-driven budget rule (`fb-budgets`), queue-wait-biased
+//! stealing (`fb-steal`) and prefill alone (`fb-prefill`) as the last
+//! tree that had all three measured them. The first two never beat
+//! `adaptive` and no longer exist; their numbers stay as the record of
+//! why.
 //!
 //! In-process acceptance:
 //!
-//! 1. **feedback beats adaptive** — fewer simulated cycles per
-//!    completed call on the shifting-hotspot workload;
+//! 1. **prefill beats adaptive** — fewer simulated cycles per completed
+//!    call on the shifting-hotspot workload;
 //! 2. **re-convergence** — on three seeds (single worker, so the
 //!    virtual-time schedule is deterministic), partitioning the
 //!    controller's epoch history into the workload's phase windows,
 //!    the budget vector re-converges (a stable run of identical
-//!    vectors) within *every* phase window, not just the last;
-//! 3. **off is the default** — `FeedbackConfig::off()` and
-//!    `FeedbackConfig::default()` produce bit-identical runs (same
-//!    total cycles, same makespan), pinning the ablation path.
+//!    vectors) within *every* phase window, not just the last.
 //!
 //! Usage: `feedback [output-path] [--trace-out PATH]` (default
 //! `BENCH_feedback.json`). With `--trace-out` the feedback point is
@@ -44,7 +42,7 @@ use std::fmt::Write as _;
 
 use machine::rng::SplitMix64;
 use runtime::{
-    trace_doc, CallRequest, EpochSnapshot, FeedbackConfig, ObsConfig, RuntimeConfig, ServiceReport,
+    trace_doc, CallRequest, EpochSnapshot, ObsConfig, RuntimeConfig, ServiceReport,
     SwitchlessConfig, WorldCallService,
 };
 use workloads::shifting_hotspot::ShiftingHotspot;
@@ -70,9 +68,19 @@ const EPOCH_CYCLES: u64 = 60_000;
 /// Final epochs of each phase window whose budget vectors must match.
 const FINAL_EPOCHS: usize = 3;
 
-fn switchless_adaptive() -> SwitchlessConfig {
+/// Frozen figures of the retired policies, measured at commit 9ba55b5
+/// on this workload (4 workers, [`SEED`]): `(name, cycles/call, total
+/// cycles, makespan, WTC miss faults, stolen)`.
+const HISTORICAL: [(&str, f64, u64, u64, u64, u64); 3] = [
+    ("fb-budgets", 1422.8, 22_765_420, 5_724_592, 5066, 1853),
+    ("fb-steal", 1434.0, 22_943_725, 5_822_465, 5147, 1575),
+    ("fb-prefill", 1341.6, 21_465_729, 5_462_019, 4325, 1613),
+];
+
+fn switchless_adaptive(prefill: bool) -> SwitchlessConfig {
     SwitchlessConfig {
         epoch_cycles: EPOCH_CYCLES,
+        prefill,
         ..SwitchlessConfig::adaptive()
     }
 }
@@ -94,7 +102,6 @@ const TENANTS: usize = 24;
 /// seen recently.
 fn build_service(
     switchless: SwitchlessConfig,
-    feedback: FeedbackConfig,
     workers: usize,
     obs: ObsConfig,
 ) -> (WorldCallService, Vec<crossover::world::Wid>) {
@@ -103,7 +110,6 @@ fn build_service(
         queue_capacity: CALLS_PER_POINT as usize,
         batch_max: 32,
         switchless,
-        feedback,
         obs,
         ..RuntimeConfig::default()
     });
@@ -155,14 +161,8 @@ fn draw_request(
     CallRequest::new(caller, callee, work_cycles, work_cycles / 3).with_touches(touches)
 }
 
-fn run(
-    switchless: SwitchlessConfig,
-    feedback: FeedbackConfig,
-    seed: u64,
-    workers: usize,
-    obs: ObsConfig,
-) -> ServiceReport {
-    let (mut svc, worlds) = build_service(switchless, feedback, workers, obs);
+fn run(switchless: SwitchlessConfig, seed: u64, workers: usize, obs: ObsConfig) -> ServiceReport {
+    let (mut svc, worlds) = build_service(switchless, workers, obs);
     let hotspot = workload(seed);
     let mut rng = SplitMix64::new(seed);
     for i in 0..CALLS_PER_POINT {
@@ -199,7 +199,6 @@ struct Point {
 
 fn point(name: &'static str, report: &ServiceReport) -> Point {
     let sw = &report.switchless;
-    let fb = &report.feedback;
     Point {
         name,
         completed: report.completed,
@@ -211,11 +210,11 @@ fn point(name: &'static str, report: &ServiceReport) -> Point {
         transitions_per_call: (sw.world_calls + sw.world_returns) as f64 / report.completed as f64,
         stolen: report.stolen,
         wtc_miss_faults: report.wt.misses + report.iwt.misses,
-        prefill_runs: fb.prefill.runs,
-        prefill_fills: fb.prefill.fills,
-        prefill_warm_skips: fb.prefill.warm_skips,
-        prefill_walk_cycles: fb.prefill.walk_cycles,
-        prefill_tlb_touches: fb.prefill.tlb_touches,
+        prefill_runs: sw.prefill.runs,
+        prefill_fills: sw.prefill.fills,
+        prefill_warm_skips: sw.prefill.warm_skips,
+        prefill_walk_cycles: sw.prefill.walk_cycles,
+        prefill_tlb_touches: sw.prefill.tlb_touches,
         epochs: sw.epochs.len(),
     }
 }
@@ -262,9 +261,9 @@ fn write_point(out: &mut String, p: &Point) {
 
 /// Whether `run` of [`FINAL_EPOCHS`] consecutive snapshots agrees on
 /// every lane present at its start. Lanes *first sighted* inside the
-/// run are excluded — a Zipf-tail lane's first-ever call triggers the
-/// regime-shift fast path by design (a same-epoch grow), and that is
-/// the controller responding, not failing to settle.
+/// run are excluded — a Zipf-tail lane's first-ever call adds an entry
+/// to the budget vector, and that is the controller responding, not
+/// failing to settle.
 fn stable_run(run: &[EpochSnapshot]) -> bool {
     let base: std::collections::HashMap<usize, usize> = run[0].budgets.iter().copied().collect();
     run[1..].iter().all(|snap| {
@@ -310,13 +309,7 @@ fn phase_windows(epochs: &[EpochSnapshot], makespan: u64) -> Vec<Vec<EpochSnapsh
 /// Records the feedback point with the obs plane on and writes the
 /// combined Perfetto/recording document.
 fn trace_run(trace_path: &str) {
-    let report = run(
-        switchless_adaptive(),
-        FeedbackConfig::on(),
-        SEED,
-        WORKERS,
-        ObsConfig::ring(),
-    );
+    let report = run(switchless_adaptive(true), SEED, WORKERS, ObsConfig::ring());
     let doc = trace_doc("feedback shifting-hotspot", &report, FREQUENCY_GHZ)
         .expect("obs was enabled for the traced run");
     std::fs::write(trace_path, doc.render_json()).expect("write trace json");
@@ -335,37 +328,15 @@ fn main() {
         }
     }
 
-    let ablations: Vec<(&'static str, FeedbackConfig)> = vec![
-        ("adaptive", FeedbackConfig::off()),
-        ("feedback", FeedbackConfig::on()),
-        (
-            "fb-budgets",
-            FeedbackConfig {
-                steal_bias: false,
-                prefill: false,
-                ..FeedbackConfig::on()
-            },
-        ),
-        (
-            "fb-steal",
-            FeedbackConfig {
-                budgets: false,
-                prefill: false,
-                ..FeedbackConfig::on()
-            },
-        ),
-        (
-            "fb-prefill",
-            FeedbackConfig {
-                budgets: false,
-                steal_bias: false,
-                ..FeedbackConfig::on()
-            },
-        ),
-    ];
+    let ablations = [("adaptive", false), ("feedback", true)];
     let mut points = Vec::new();
-    for (name, fb) in ablations {
-        let report = run(switchless_adaptive(), fb, SEED, WORKERS, ObsConfig::off());
+    for (name, prefill) in ablations {
+        let report = run(
+            switchless_adaptive(prefill),
+            SEED,
+            WORKERS,
+            ObsConfig::off(),
+        );
         let p = point(name, &report);
         eprintln!(
             "{:>10}  {:>6.0} cyc/call  {:.3} trans/call  coalesced {:>5}  stolen {:>4}  \
@@ -389,20 +360,20 @@ fn main() {
             .expect("point present")
     };
 
-    // Acceptance 1: the closed loop beats the PR-3 heuristics on the
-    // workload whose regime keeps shifting.
+    // Acceptance 1: prefill beats the bare controller on the workload
+    // whose regime keeps shifting.
     let base = cpc("adaptive");
-    let closed = cpc("feedback");
-    let improvement_pct = (base - closed) / base * 100.0;
+    let prefilled = cpc("feedback");
+    let improvement_pct = (base - prefilled) / base * 100.0;
     eprintln!(
-        "shifting-hotspot cycles/call: adaptive {base:.0}, feedback {closed:.0} \
+        "shifting-hotspot cycles/call: adaptive {base:.0}, feedback {prefilled:.0} \
          ({improvement_pct:.1}% fewer)"
     );
     assert!(
-        closed < base,
-        "feedback-on must spend fewer cycles/call than the PR-3 adaptive \
+        prefilled < base,
+        "prefill-on must spend fewer cycles/call than the adaptive \
          baseline on the shifting-hotspot workload \
-         (adaptive {base:.1}, feedback {closed:.1})"
+         (adaptive {base:.1}, feedback {prefilled:.1})"
     );
 
     // Acceptance 2: re-convergence after *every* shift, three seeds.
@@ -410,13 +381,7 @@ fn main() {
     // policy property with no interleaving noise.
     let mut convergence = Vec::new();
     for seed in CONVERGENCE_SEEDS {
-        let report = run(
-            switchless_adaptive(),
-            FeedbackConfig::on(),
-            seed,
-            1,
-            ObsConfig::off(),
-        );
+        let report = run(switchless_adaptive(true), seed, 1, ObsConfig::off());
         let windows = phase_windows(&report.switchless.epochs, report.smp.makespan_cycles());
         let mut per_phase = Vec::new();
         for (phase, window) in windows.iter().enumerate() {
@@ -442,39 +407,15 @@ fn main() {
         convergence.push((seed, per_phase));
     }
 
-    // Acceptance 3: `off()` IS the default — the ablation path costs
-    // nothing and changes nothing.
-    let off = run(
-        switchless_adaptive(),
-        FeedbackConfig::off(),
-        SEED,
-        1,
-        ObsConfig::off(),
-    );
-    let default = run(
-        switchless_adaptive(),
-        FeedbackConfig::default(),
-        SEED,
-        1,
-        ObsConfig::off(),
-    );
-    assert_eq!(
-        off.smp.total_cycles(),
-        default.smp.total_cycles(),
-        "FeedbackConfig::off() and ::default() must be bit-identical"
-    );
-    assert_eq!(off.smp.makespan_cycles(), default.smp.makespan_cycles());
-
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\n  \"benchmark\": \"xover profile-guided feedback ablation\",\n  \
+        "{{\n  \"benchmark\": \"xover trace-driven prefill ablation\",\n  \
          \"workload\": \"shifting-hotspot zipf({ZIPF_S}) over 48 worlds, {PHASES} phases\",\n  \
          \"calls_per_point\": {CALLS_PER_POINT},\n  \
          \"workers\": {WORKERS},\n  \
          \"phases\": {PHASES},\n  \
          \"improvement_pct_feedback_vs_adaptive\": {improvement_pct:.1},\n  \
-         \"off_is_default_bit_exact\": true,\n  \
          \"convergence\": [\n"
     );
     for (i, (seed, per_phase)) in convergence.iter().enumerate() {
@@ -488,7 +429,23 @@ fn main() {
             "\n"
         });
     }
-    out.push_str("  ],\n  \"points\": [\n");
+    out.push_str(
+        "  ],\n  \"historical\": {\n    \
+         \"note\": \"frozen at commit 9ba55b5; the latency-driven budget rule and \
+         queue-wait-biased stealing were deleted after it\",\n    \
+         \"commit\": \"9ba55b5\",\n    \
+         \"points\": [\n",
+    );
+    for (j, (name, cpc, total, makespan, faults, stolen)) in HISTORICAL.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "      {{ \"name\": \"{name}\", \"cycles_per_call\": {cpc:.1}, \
+             \"total_cycles\": {total}, \"makespan_cycles\": {makespan}, \
+             \"wtc_miss_faults\": {faults}, \"stolen\": {stolen} }}{}",
+            if j + 1 < HISTORICAL.len() { "," } else { "" }
+        );
+    }
+    out.push_str("    ]\n  },\n  \"points\": [\n");
     for (j, p) in points.iter().enumerate() {
         write_point(&mut out, p);
         out.push_str(if j + 1 < points.len() { ",\n" } else { "\n" });

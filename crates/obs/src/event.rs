@@ -78,10 +78,10 @@ pub enum EventKind {
     /// Retired table structures freed after their grace period.
     /// a=structures reclaimed in this maintenance pass.
     GraceReclaim = 28,
-    /// Feedback controller grew a lane budget. a=lane, b=new budget,
+    /// Switchless controller grew a lane budget. a=lane, b=new budget,
     /// c=epoch index of the fold that decided it.
     BudgetGrow = 29,
-    /// Feedback controller shrank a lane budget. a=lane, b=new budget,
+    /// Switchless controller shrank a lane budget. a=lane, b=new budget,
     /// c=epoch index of the fold that decided it.
     BudgetShrink = 30,
     /// Trace-driven prefill warmed a worker's WT/IWT/TLB before a

@@ -80,12 +80,10 @@ impl<T: Routed + Send> Batcher<T> {
     /// Forms the next batch. The worker first drains its own ring into
     /// the backlog (bounded at twice the batch size), then takes the
     /// first request's same-callee group out of the backlog, preserving
-    /// the relative order of what stays behind. `biased` routes steals
-    /// through [`RingSet::pop_biased`] instead of round-robin. Returns
-    /// whether the head was stolen, or `None` once the rings are closed
-    /// and drained. A batch held by [`Batcher::requeue`] comes back
-    /// as-is, not stolen.
-    pub fn next(&mut self, rings: &RingSet<T>, home: usize, biased: bool) -> Option<bool> {
+    /// the relative order of what stays behind. Returns whether the head
+    /// was stolen, or `None` once the rings are closed and drained. A
+    /// batch held by [`Batcher::requeue`] comes back as-is, not stolen.
+    pub fn next(&mut self, rings: &RingSet<T>, home: usize) -> Option<bool> {
         if std::mem::take(&mut self.held) {
             return Some(false);
         }
@@ -93,13 +91,7 @@ impl<T: Routed + Send> Batcher<T> {
         self.groups.clear();
         let (first, stolen) = match self.backlog.pop_front() {
             Some(q) => (q, false),
-            None => {
-                if biased {
-                    rings.pop_biased(home)?
-                } else {
-                    rings.pop(home)?
-                }
-            }
+            None => rings.pop(home)?,
         };
         while self.backlog.len() < self.batch_max.saturating_mul(2) {
             match rings.try_pop_local(home) {
@@ -207,7 +199,7 @@ mod tests {
         rings.close();
         let mut b = Batcher::new(2);
         let mut seen = Vec::new();
-        while let Some(stolen) = b.next(&rings, 0, false) {
+        while let Some(stolen) = b.next(&rings, 0) {
             assert!(!stolen, "one ring: nothing to steal");
             seen.push(
                 b.items()
@@ -234,7 +226,7 @@ mod tests {
             rings.try_push(0, req(caller, 7, i as u64)).unwrap();
         }
         let mut b = Batcher::new(16);
-        assert_eq!(b.next(&rings, 0, false), Some(false));
+        assert_eq!(b.next(&rings, 0), Some(false));
         assert_eq!(
             groups(&mut b),
             vec![
@@ -250,13 +242,13 @@ mod tests {
         let rings = RingSet::new(2, 8);
         rings.try_push(1, req(1, 7, 0)).unwrap();
         let mut b = Batcher::new(4);
-        assert_eq!(b.next(&rings, 0, false), Some(true));
+        assert_eq!(b.next(&rings, 0), Some(true));
         assert!(b.items()[0].1);
         b.requeue();
-        assert_eq!(b.next(&rings, 0, false), Some(false), "held batch");
+        assert_eq!(b.next(&rings, 0), Some(false), "held batch");
         assert_eq!(b.items().len(), 1);
         assert!(!b.items()[0].1);
         rings.close();
-        assert_eq!(b.next(&rings, 0, false), None);
+        assert_eq!(b.next(&rings, 0), None);
     }
 }

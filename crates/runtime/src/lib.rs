@@ -72,7 +72,6 @@
 pub mod authz;
 pub mod batch;
 pub mod epoch;
-pub mod feedback;
 mod inthash;
 pub mod observe;
 pub mod report;
@@ -87,10 +86,8 @@ mod worker;
 
 pub use authz::{AuthzConfig, AuthzMode, AuthzPolicy, AuthzSummary, RateLimitConfig};
 pub use batch::{Batcher, Routed};
+pub use crossover::prefetch::PrefetchStats;
 pub use epoch::{EpochWorldTable, MaintainOutcome, TableHealth, TableView};
-pub use feedback::{
-    FeedbackConfig, FeedbackMode, FeedbackSummary, LaneGauge, PrefetchStats, PrefillStats,
-};
 pub use obs::{
     build_spans, top_slowest, verify, ConservationReport, Event, EventKind, EventRing,
     LogHistogram, ObsConfig, ObsMode, ObsReport, Registry, Span, TraceDoc,
@@ -106,8 +103,8 @@ pub use supervisor::{
     DegradeLevel, HealthState, Supervisor, SupervisorConfig, SupervisorReport, SupervisorSummary,
 };
 pub use switchless::{
-    converged, Controller, EpochSnapshot, PairTraffic, SwitchlessConfig, SwitchlessMode,
-    SwitchlessSummary, SwitchlessWorkerStats,
+    converged, Controller, EpochSnapshot, PairTraffic, PrefillStats, SwitchlessConfig,
+    SwitchlessMode, SwitchlessSummary, SwitchlessWorkerStats,
 };
 pub use watchdog::{
     incident_events, incidents_to_json, Contributor, Incident, Objective, Watchdog, WatchdogConfig,

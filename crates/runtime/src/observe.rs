@@ -102,63 +102,41 @@ pub fn metrics_registry(report: &ServiceReport) -> Registry {
         reg.counter_set("xover_obs_events", recorded.total_events() as u64);
         reg.counter_set("xover_obs_dropped", recorded.dropped());
     }
-    // Feedback-plane gauges, exported whenever the plane was live (the
-    // registry is counters-only, so the hit rate ships as permille and
-    // per-lane/per-ring gauges are name-indexed).
-    let fb = &report.feedback;
-    if fb.config.enabled() {
+    // Prefill and §5.1 register gauges, exported whenever prefill was
+    // live (the registry is counters-only, so the hit rate ships as
+    // permille). The `xover_feedback_` prefix is kept for dashboards.
+    let sl = &report.switchless;
+    if sl.config.prefill {
         reg.counter_set("xover_feedback_enabled", 1);
-        reg.counter_set("xover_feedback_prefill_runs", fb.prefill.runs);
-        reg.counter_set("xover_feedback_prefill_fills", fb.prefill.fills);
-        reg.counter_set("xover_feedback_prefill_warm_skips", fb.prefill.warm_skips);
-        reg.counter_set("xover_feedback_prefill_walk_cycles", fb.prefill.walk_cycles);
-        reg.counter_set("xover_feedback_prefill_tlb_touches", fb.prefill.tlb_touches);
+        reg.counter_set("xover_feedback_prefill_runs", sl.prefill.runs);
+        reg.counter_set("xover_feedback_prefill_fills", sl.prefill.fills);
+        reg.counter_set("xover_feedback_prefill_warm_skips", sl.prefill.warm_skips);
+        reg.counter_set("xover_feedback_prefill_walk_cycles", sl.prefill.walk_cycles);
+        reg.counter_set("xover_feedback_prefill_tlb_touches", sl.prefill.tlb_touches);
         reg.counter_set(
             "xover_feedback_prefill_hit_rate_permille",
-            (fb.prefill.hit_rate() * 1000.0).round() as u64,
+            (sl.prefill.hit_rate() * 1000.0).round() as u64,
         );
         reg.counter_set(
             "xover_feedback_prefetch_useful_walks",
-            fb.prefetch.useful_walks,
+            sl.prefetch.useful_walks,
         );
         reg.counter_set(
             "xover_feedback_prefetch_useless_walks",
-            fb.prefetch.useless_walks,
+            sl.prefetch.useless_walks,
         );
         reg.counter_set(
             "xover_feedback_prefetch_register_hits",
-            fb.prefetch.register_hits,
+            sl.prefetch.register_hits,
         );
         reg.counter_set(
             "xover_feedback_prefetch_register_misses",
-            fb.prefetch.register_misses,
+            sl.prefetch.register_misses,
         );
         reg.counter_set(
             "xover_feedback_register_walk_cycles",
-            fb.register_walk_cycles,
+            sl.register_walk_cycles,
         );
-        for (ring, ewma) in fb.steal_wait_ewma.iter().enumerate() {
-            reg.counter_set(
-                &format!("xover_feedback_ring{ring}_wait_ewma_cycles"),
-                *ewma,
-            );
-        }
-        for lane in &fb.lanes {
-            let i = lane.lane;
-            reg.counter_set(
-                &format!("xover_feedback_lane{i}_budget"),
-                lane.budget as u64,
-            );
-            reg.counter_set(
-                &format!("xover_feedback_lane{i}_mean_service_cycles"),
-                lane.mean_service_cycles,
-            );
-            reg.counter_set(
-                &format!("xover_feedback_lane{i}_mean_wait_cycles"),
-                lane.mean_wait_cycles,
-            );
-            reg.counter_set(&format!("xover_feedback_lane{i}_calls"), lane.calls);
-        }
     }
     // Authz-plane gauges, exported whenever the plane was live. The
     // per-family deny counters partition `xover_authz_denied_total`;
@@ -219,7 +197,7 @@ pub fn metrics_registry(report: &ServiceReport) -> Registry {
     reg.histogram_set("xover_service_latency_cycles", report.latency_hist.clone());
     reg.histogram_set("xover_queue_wait_cycles", report.queue_wait_hist.clone());
     // Per-callee and per-tenant completed-call latency histograms
-    // (name-indexed like the per-lane feedback gauges; each histogram
+    // (name-indexed like the per-incident gauges; each histogram
     // renders its own quantile gauges, so per-callee and per-tenant
     // p50/p99 come for free in the Prometheus dump).
     let mut per_callee: BTreeMap<u64, LogHistogram> = BTreeMap::new();

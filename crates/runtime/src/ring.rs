@@ -21,7 +21,7 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Why a non-blocking push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -194,10 +194,6 @@ fn backoff(spins: &mut u32) {
     }
 }
 
-/// EWMA smoothing shift: new samples weigh 1/8
-/// (`ewma += (sample - ewma) / 8`).
-const WAIT_EWMA_SHIFT: u32 = 3;
-
 /// One ring per worker plus a shared close flag: the lock-free dispatcher.
 ///
 /// Submissions are routed to a *home* ring (the service hashes the callee,
@@ -207,11 +203,6 @@ const WAIT_EWMA_SHIFT: u32 = 3;
 #[derive(Debug)]
 pub struct RingSet<T> {
     rings: Vec<Ring<T>>,
-    /// Per-ring queue-wait EWMAs (virtual cycles), fed by workers from
-    /// dispatch stamps via [`RingSet::note_wait`]. Host-side state only
-    /// — it steers [`RingSet::pop_biased`]'s victim order and costs
-    /// zero virtual cycles.
-    wait_ewma: Vec<AtomicU64>,
     closed: AtomicBool,
 }
 
@@ -226,28 +217,8 @@ impl<T: Send> RingSet<T> {
         assert!(workers > 0, "need at least one ring");
         RingSet {
             rings: (0..workers).map(|_| Ring::new(capacity)).collect(),
-            wait_ewma: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             closed: AtomicBool::new(false),
         }
-    }
-
-    /// Feed one observed queue wait (virtual cycles) for an item that
-    /// sat in `home`'s ring into that ring's EWMA. Racy read-modify-
-    /// write by design: a lost update only blurs the estimate, and the
-    /// estimate only orders steal victims.
-    pub fn note_wait(&self, home: usize, wait_cycles: u64) {
-        let ewma = &self.wait_ewma[home];
-        let old = ewma.load(Ordering::Relaxed);
-        let new = old - (old >> WAIT_EWMA_SHIFT) + (wait_cycles >> WAIT_EWMA_SHIFT);
-        ewma.store(new, Ordering::Relaxed);
-    }
-
-    /// Current per-ring queue-wait EWMAs (cycles), indexed by ring.
-    pub fn wait_ewmas(&self) -> Vec<u64> {
-        self.wait_ewma
-            .iter()
-            .map(|e| e.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Number of rings (== workers).
@@ -345,46 +316,6 @@ impl<T: Send> RingSet<T> {
             }
             // Check *after* the sweep: a close that raced with pushes is
             // caught next iteration, after the rings were re-examined.
-            if self.is_closed() && self.rings.iter().all(Ring::is_empty) {
-                return None;
-            }
-            backoff(&mut spins);
-        }
-    }
-
-    /// [`RingSet::pop`] with queue-wait-biased victim selection: after
-    /// the home ring, peers are visited in descending order of their
-    /// observed queue-wait EWMA (round-robin distance from `home`
-    /// breaks ties), so a steal drains the ring where items measurably
-    /// wait longest instead of whichever peer happens to sit next.
-    pub fn pop_biased(&self, home: usize) -> Option<(T, bool)> {
-        let n = self.rings.len();
-        let mut spins = 0;
-        // A peer's rank: higher EWMA first, then shorter round-robin
-        // distance `k` — the order a stable sort by descending EWMA over
-        // `(home + k) % n` gives. Ranks are unique (so are distances),
-        // which lets each sweep visit peers by repeatedly selecting the
-        // best rank after the last one visited, with no order buffer to
-        // allocate. An EWMA updated mid-sweep can make a sweep skip or
-        // revisit a peer; like a lost EWMA update, that only blurs the
-        // victim order, and an empty sweep just retries.
-        let rank = |k: usize| {
-            (
-                std::cmp::Reverse(self.wait_ewma[(home + k) % n].load(Ordering::Relaxed)),
-                k,
-            )
-        };
-        loop {
-            if let Some(item) = self.rings[home].try_pop() {
-                return Some((item, false));
-            }
-            let mut last = None;
-            while let Some(next) = (1..n).map(rank).filter(|&r| last < Some(r)).min() {
-                last = Some(next);
-                if let Some(item) = self.rings[(home + next.1) % n].try_pop() {
-                    return Some((item, true));
-                }
-            }
             if self.is_closed() && self.rings.iter().all(Ring::is_empty) {
                 return None;
             }
@@ -577,85 +508,6 @@ mod tests {
         assert_eq!(all.len(), 1000);
         all.dedup();
         assert_eq!(all.len(), 1000);
-    }
-
-    #[test]
-    fn wait_ewma_tracks_samples() {
-        let rs: RingSet<u8> = RingSet::new(2, 4);
-        assert_eq!(rs.wait_ewmas(), vec![0, 0]);
-        for _ in 0..64 {
-            rs.note_wait(1, 8000);
-        }
-        let ewmas = rs.wait_ewmas();
-        assert_eq!(ewmas[0], 0);
-        assert!(
-            ewmas[1] > 7000 && ewmas[1] <= 8000,
-            "ewma {} should converge toward 8000",
-            ewmas[1]
-        );
-    }
-
-    #[test]
-    fn biased_pop_steals_from_longest_waiting_ring() {
-        let rs: RingSet<u8> = RingSet::new(3, 4);
-        rs.try_push(1, 11).unwrap();
-        rs.try_push(2, 22).unwrap();
-        // Round-robin from worker 0 would hit ring 1 first; ring 2's
-        // measured backlog redirects the steal.
-        for _ in 0..64 {
-            rs.note_wait(2, 50_000);
-        }
-        assert_eq!(rs.pop_biased(0), Some((22, true)));
-        assert_eq!(rs.pop_biased(0), Some((11, true)));
-    }
-
-    #[test]
-    fn biased_pop_prefers_own_ring_and_ties_break_round_robin() {
-        let rs: RingSet<u8> = RingSet::new(3, 4);
-        rs.try_push(0, 7).unwrap();
-        rs.try_push(1, 8).unwrap();
-        rs.try_push(2, 9).unwrap();
-        // Own ring first, then (all EWMAs tied at 0) ring 1 before 2.
-        assert_eq!(rs.pop_biased(0), Some((7, false)));
-        assert_eq!(rs.pop_biased(0), Some((8, true)));
-        assert_eq!(rs.pop_biased(0), Some((9, true)));
-    }
-
-    #[test]
-    fn biased_pop_visits_peers_in_stable_sorted_ewma_order() {
-        // Reference: a stable sort by descending EWMA over round-robin
-        // distance, with ties (three rings share 40 cycles) kept in
-        // distance order.
-        let ewma_of = [900u64, 40, 7_000, 40, 0, 40];
-        let n = ewma_of.len();
-        for home in 0..n {
-            let rs: RingSet<usize> = RingSet::new(n, 4);
-            for (ring, &ewma) in ewma_of.iter().enumerate() {
-                rs.wait_ewma[ring].store(ewma, Ordering::Relaxed);
-                if ring != home {
-                    rs.try_push(ring, ring).unwrap();
-                }
-            }
-            let mut want: Vec<usize> = (1..n).map(|k| (home + k) % n).collect();
-            want.sort_by_key(|&i| std::cmp::Reverse(ewma_of[i]));
-            let got: Vec<usize> = (1..n)
-                .map(|_| rs.pop_biased(home).expect("a peer holds an item"))
-                .map(|(ring, stolen)| {
-                    assert!(stolen);
-                    ring
-                })
-                .collect();
-            assert_eq!(got, want, "victim order from home {home}");
-        }
-    }
-
-    #[test]
-    fn biased_pop_drains_and_returns_none_after_close() {
-        let rs: RingSet<u8> = RingSet::new(2, 4);
-        rs.try_push(1, 5).unwrap();
-        rs.close();
-        assert_eq!(rs.pop_biased(0), Some((5, true)));
-        assert_eq!(rs.pop_biased(0), None);
     }
 
     #[test]

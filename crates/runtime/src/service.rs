@@ -42,7 +42,6 @@ use obs::{Event, EventKind, EventRing, LogHistogram, ObsConfig, ObsReport, SUBMI
 
 use crate::authz::{AuthzConfig, AuthzPolicy, AuthzSummary};
 use crate::epoch::{EpochWorldTable, TableHealth};
-use crate::feedback::{FeedbackConfig, FeedbackSummary};
 use crate::inthash::IntMap;
 use crate::ring::{PushError, RingSet};
 use crate::router::{CallOutcome, CallRequest, Queued};
@@ -88,10 +87,6 @@ pub struct RuntimeConfig {
     /// Switchless fast path (off by default: classic per-call behavior,
     /// bit for bit).
     pub switchless: SwitchlessConfig,
-    /// Profile-guided feedback plane (off by default: PR-3 heuristics,
-    /// round-robin stealing, no prefill — cycle-exact with the
-    /// open-loop runtime).
-    pub feedback: FeedbackConfig,
     /// What per-call cycle budgets bound (on-CPU time by default).
     pub deadline_policy: DeadlinePolicy,
     /// Healing-policy tuning (backoff, quarantine, respawn caps). Inert
@@ -129,7 +124,6 @@ impl Default for RuntimeConfig {
             unified_tlb: true,
             wtc_geometry: CacheGeometry::default(),
             switchless: SwitchlessConfig::default(),
-            feedback: FeedbackConfig::default(),
             deadline_policy: DeadlinePolicy::default(),
             supervisor: SupervisorConfig::default(),
             obs: ObsConfig::default(),
@@ -287,10 +281,6 @@ pub struct ServiceReport {
     /// Switchless-path accounting (all zero / empty when the layer is
     /// off).
     pub switchless: SwitchlessSummary,
-    /// Feedback-plane accounting: merged prefill/prefetch counters,
-    /// per-ring queue-wait EWMAs, and per-lane budget/latency gauges
-    /// (all zero / empty when the plane is off).
-    pub feedback: FeedbackSummary,
     /// Healing summary: merged supervisor counters, degradation-ladder
     /// history and recovery latencies (all zero on clean runs).
     pub supervisor: SupervisorSummary,
@@ -411,9 +401,6 @@ impl WorldCallService {
     pub fn new(config: RuntimeConfig) -> WorldCallService {
         assert!(config.workers > 0, "need at least one worker");
         let template = Platform::new_default();
-        // The transition-pair price the feedback controller weighs
-        // measured service times against (a platform constant).
-        let pair_cycles = crossover::switchless::transition_pair_cycles(&template);
         // Hoisted: the watchdog buckets samples against the same
         // published clocks submissions are stamped from.
         let clocks: Arc<Vec<AtomicU64>> =
@@ -425,13 +412,10 @@ impl WorldCallService {
             rings: Arc::new(RingSet::new(config.workers, config.queue_capacity)),
             memory: IntMap::default(),
             segments: IntMap::default(),
-            controller: config.switchless.enabled().then(|| {
-                Arc::new(Controller::with_feedback(
-                    config.switchless,
-                    config.feedback,
-                    pair_cycles,
-                ))
-            }),
+            controller: config
+                .switchless
+                .enabled()
+                .then(|| Arc::new(Controller::new(config.switchless))),
             faults: None,
             health: Arc::new(HealthState::new(config.supervisor.recover_after_cycles)),
             authz: config
@@ -762,7 +746,6 @@ impl WorldCallService {
                 memory: Arc::clone(&memory),
                 wtc_geometry: self.config.wtc_geometry,
                 switchless: self.config.switchless,
-                feedback: self.config.feedback,
                 controller: self.controller.clone(),
                 segments: Arc::clone(&segments),
                 deadline_policy: self.config.deadline_policy,
@@ -929,7 +912,10 @@ impl WorldCallService {
         let mut iwt = CacheStats::default();
         let mut tlb = TlbStats::default();
         let mut stolen = 0;
-        let mut switchless = SwitchlessSummary::default();
+        let mut switchless = SwitchlessSummary {
+            config: self.config.switchless,
+            ..SwitchlessSummary::default()
+        };
         let mut supervisor = SupervisorSummary {
             worker_panics,
             degrade_escalations: self.health.escalations(),
@@ -938,10 +924,6 @@ impl WorldCallService {
             ..SupervisorSummary::default()
         };
         let mut per_callee: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        let mut feedback = FeedbackSummary {
-            config: self.config.feedback,
-            ..FeedbackSummary::default()
-        };
         // Every outcome-derived report field comes from the workers'
         // tallies, each built as its outcomes were recorded: the drain
         // merges W digests and never re-scans the outcome stream.
@@ -949,12 +931,6 @@ impl WorldCallService {
         for r in &reports {
             tally.merge(&r.tally);
             supervisor.totals.absorb(&r.supervisor);
-            feedback.prefill.merge(&r.prefill);
-            feedback.prefetch.useful_walks += r.prefetch.useful_walks;
-            feedback.prefetch.useless_walks += r.prefetch.useless_walks;
-            feedback.prefetch.register_hits += r.prefetch.register_hits;
-            feedback.prefetch.register_misses += r.prefetch.register_misses;
-            feedback.register_walk_cycles += r.prefetch_walk_cycles;
             smp.core_mut(CoreId(r.index as u32))
                 .expect("one core per worker")
                 .meter_mut()
@@ -966,6 +942,12 @@ impl WorldCallService {
             stolen += r.stolen;
             switchless.drain.absorb(&r.switchless.drain);
             switchless.classic_calls += r.switchless.classic_calls;
+            switchless.prefill.merge(&r.switchless.prefill);
+            switchless.prefetch.useful_walks += r.prefetch.useful_walks;
+            switchless.prefetch.useless_walks += r.prefetch.useless_walks;
+            switchless.prefetch.register_hits += r.prefetch.register_hits;
+            switchless.prefetch.register_misses += r.prefetch.register_misses;
+            switchless.register_walk_cycles += r.prefetch_walk_cycles;
             switchless.world_calls += r.world_calls;
             switchless.world_returns += r.world_returns;
             for (&callee, &(coalesced, pairs)) in &r.switchless.per_callee {
@@ -984,10 +966,6 @@ impl WorldCallService {
             .collect();
         if let Some(ctl) = &self.controller {
             switchless.epochs = ctl.history();
-            feedback.lanes = ctl.lane_gauges();
-        }
-        if self.config.feedback.steal_bias_on() {
-            feedback.steal_wait_ewma = self.rings.wait_ewmas();
         }
         // Rings indexed by worker id; a panicked worker leaves an empty
         // ring in its slot rather than shifting everyone else's.
@@ -1073,7 +1051,6 @@ impl WorldCallService {
             stolen,
             table: self.table.health(),
             switchless,
-            feedback,
             supervisor,
             authz: self.authz.as_ref().map(|p| p.summary()).unwrap_or_default(),
             outcomes,

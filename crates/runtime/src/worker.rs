@@ -62,7 +62,6 @@ use obs::{EventKind, EventRing, ObsConfig, Recorder};
 use crate::authz::AuthzPolicy;
 use crate::batch::Batcher;
 use crate::epoch::{EpochWorldTable, TableView};
-use crate::feedback::{FeedbackConfig, PrefillStats};
 use crate::inthash::IntMap;
 use crate::ring::RingSet;
 use crate::router::{CallError, CallOutcome, CallRequest, CallVerdict, Queued};
@@ -89,8 +88,6 @@ pub(crate) struct WorkerContext {
     pub wtc_geometry: CacheGeometry,
     /// Switchless layer configuration.
     pub switchless: SwitchlessConfig,
-    /// Feedback-plane configuration (`Off` is bit-for-bit inert).
-    pub feedback: FeedbackConfig,
     /// The shared budget controller (present when switchless is on).
     pub controller: Option<Arc<Controller>>,
     /// Attached per-callee channel segments, keyed by raw WID.
@@ -203,14 +200,11 @@ pub struct WorkerReport {
     pub world_calls: u64,
     /// `world_return` transitions this worker's vCPU executed.
     pub world_returns: u64,
-    /// Trace-driven prefill accounting (all zero when the feedback
-    /// plane's prefill policy is off).
-    pub prefill: PrefillStats,
     /// §5.1 Current-World-ID register counters (all zero unless the
     /// register was wired into this worker's call unit).
     pub prefetch: PrefetchStats,
     /// Cycles this worker's register spent on speculative table walks
-    /// (the §5.1 trade-off's cost side, for the feedback gauges).
+    /// (the §5.1 trade-off's cost side, for the prefetch gauges).
     pub prefetch_walk_cycles: u64,
     /// Healing counters from this worker's supervisor (all zero without
     /// an armed fault plan).
@@ -265,16 +259,9 @@ struct Engine<'a> {
     index: usize,
     policy: DeadlinePolicy,
     spin_cycles: u64,
-    /// Feedback-plane switches; all checks below are one branch when off.
-    feedback: FeedbackConfig,
-    /// The shared budget controller (the feedback plane feeds it
-    /// measured latencies; absent when switchless is off).
-    controller: Option<Arc<Controller>>,
-    /// The rings, for feeding per-ring queue-wait EWMAs back into steal
-    /// victim selection (host-side state, zero virtual cycles).
-    rings: Arc<RingSet<Queued>>,
-    /// Trace-driven prefill counters (stay zero when the policy is off).
-    prefill: PrefillStats,
+    /// Trace-driven prefill before cold resident drains
+    /// ([`SwitchlessConfig::prefill`]); one branch per drain when off.
+    prefill_on: bool,
     outcomes: Vec<CallOutcome>,
     /// Running digest of `outcomes`, updated as each one is recorded.
     tally: OutcomeTally,
@@ -368,19 +355,6 @@ impl Engine<'_> {
         if outcome.verdict == CallVerdict::Completed {
             let now = self.now();
             self.supervisor.note_healthy(now);
-            // Close the feedback loop: completed calls feed their
-            // measured service and queue-wait cycles into the callee's
-            // controller lane profile (host-side atomics, zero virtual
-            // cycles; one branch when the policy is off).
-            if self.feedback.budgets_on() {
-                if let Some(c) = &self.controller {
-                    c.observe_latency(
-                        outcome.request.callee,
-                        outcome.latency_cycles,
-                        outcome.queue_wait_cycles,
-                    );
-                }
-            }
         }
         if self.awaiting_post_respawn_sample {
             self.awaiting_post_respawn_sample = false;
@@ -389,7 +363,7 @@ impl Engine<'_> {
                 .post_respawn_latency_samples
                 .push(outcome.latency_cycles);
         }
-        if self.supervisor.config().prefetch_warm_on_respawn || self.feedback.prefill_on() {
+        if self.supervisor.config().prefetch_warm_on_respawn || self.prefill_on {
             self.note_history(&outcome.request);
         }
         self.push_outcome(outcome);
@@ -435,7 +409,7 @@ impl Engine<'_> {
         }
     }
 
-    /// Trace-driven prefill (feedback policy 3): before a resident drain
+    /// Trace-driven prefill: before a resident drain
     /// into a (caller, callee) pair, consult the recent call history —
     /// the worker's own trace. Worlds the trace does not vouch for get a
     /// priced speculative walk ([`SPECULATIVE_WALK_CYCLES`], the §5.1
@@ -447,20 +421,19 @@ impl Engine<'_> {
     /// once the residency (and with it the callee's translation tags)
     /// is open.
     fn prefill(&mut self, caller: Wid, callee: Wid) -> bool {
-        if !self.feedback.prefill_on() {
+        if !self.prefill_on {
             return false;
         }
-        let cold: Vec<Wid> = [caller, callee]
-            .into_iter()
-            .filter(|w| !self.call_history.contains(w))
-            .collect();
-        if cold.is_empty() {
-            self.prefill.warm_skips += 1;
+        // Scanned in place: a cold drain allocates nothing.
+        let pair = [caller, callee];
+        let cold = pair.map(|w| !self.call_history.contains(&w));
+        if cold == [false, false] {
+            self.stats.prefill.warm_skips += 1;
             return false;
         }
         let before = self.now();
         let mut fills = 0u64;
-        for wid in cold {
+        for (wid, _) in pair.into_iter().zip(cold).filter(|&(_, c)| c) {
             self.platform.cpu_mut().charge_work(
                 SPECULATIVE_WALK_CYCLES,
                 SPECULATIVE_WALK_INSTRUCTIONS,
@@ -477,9 +450,9 @@ impl Engine<'_> {
             }
         }
         let cycles = self.now() - before;
-        self.prefill.runs += 1;
-        self.prefill.fills += fills;
-        self.prefill.walk_cycles += cycles;
+        self.stats.prefill.runs += 1;
+        self.stats.prefill.fills += fills;
+        self.stats.prefill.walk_cycles += cycles;
         self.emit(EventKind::PrefillRun, callee.raw(), fills, cycles);
         true
     }
@@ -492,16 +465,7 @@ impl Engine<'_> {
     fn stamp_wait(&mut self, queued: &Queued) -> u64 {
         let now = self.now();
         self.clocks[self.index].store(now, Ordering::Relaxed);
-        let wait = now.saturating_sub(queued.stamped_at);
-        if self.feedback.steal_bias_on() {
-            // Feed the wait into the *home* ring's EWMA (the ring the
-            // request was routed to — same callee hash the service
-            // uses), wherever it was actually serviced: the estimate
-            // describes rings, not thieves.
-            let home = (queued.req.callee.raw() % self.clocks.len() as u64) as usize;
-            self.rings.note_wait(home, wait);
-        }
-        wait
+        now.saturating_sub(queued.stamped_at)
     }
 
     /// The §3.4 deadline token for a call starting now. Under
@@ -928,9 +892,9 @@ impl Engine<'_> {
                 // the lane page was already resident and the touch cost
                 // one cycle, not a warm-up.
                 if cycles != mmu::tlb::TLB_HIT_CYCLES {
-                    self.prefill.tlb_touches += 1;
+                    self.stats.prefill.tlb_touches += 1;
                 }
-                self.prefill.walk_cycles += cycles;
+                self.stats.prefill.walk_cycles += cycles;
             }
         }
         let mut serviced = 0usize;
@@ -1151,7 +1115,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         .trace()
         .count(TransitionKind::WorldReturn);
     let mut unit = WorldCallUnit::with_geometry(ctx.wtc_geometry);
-    if ctx.switchless.prefetch_register || ctx.feedback.register_on() {
+    if ctx.switchless.prefetch_register {
         unit.enable_prefetch();
     }
     let mut batches = 0u64;
@@ -1180,10 +1144,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         index: ctx.index,
         policy: ctx.deadline_policy,
         spin_cycles: ctx.switchless.spin_cycles,
-        feedback: ctx.feedback,
-        controller: ctx.controller.clone(),
-        rings: Arc::clone(&ctx.rings),
-        prefill: PrefillStats::default(),
+        prefill_on: ctx.switchless.prefill,
         outcomes: Vec::new(),
         tally: OutcomeTally::default(),
         stats: SwitchlessWorkerStats::default(),
@@ -1204,8 +1165,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
             ctx.index,
             engine.platform.cpu().meter().cycles(),
         );
-        let Some(first_stolen) = batcher.next(&ctx.rings, ctx.index, ctx.feedback.steal_bias_on())
-        else {
+        let Some(first_stolen) = batcher.next(&ctx.rings, ctx.index) else {
             break; // closed and drained
         };
         // Worker-level faults are consulted *before* any of the batch is
@@ -1275,7 +1235,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 // it is the vCPU's clock, not the thread's.
                 *engine.unit = {
                     let mut fresh = WorldCallUnit::with_geometry(ctx.wtc_geometry);
-                    if ctx.switchless.prefetch_register || ctx.feedback.register_on() {
+                    if ctx.switchless.prefetch_register {
                         fresh.enable_prefetch();
                     }
                     fresh
@@ -1482,7 +1442,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
     }
     let outcomes = std::mem::take(&mut engine.outcomes);
     let tally = std::mem::take(&mut engine.tally);
-    let prefill = engine.prefill;
     let switchless = std::mem::take(&mut engine.stats);
     let supervisor_report = std::mem::take(&mut engine.supervisor.report);
     let obs_ring = std::mem::replace(&mut engine.obs, Recorder::off()).into_ring();
@@ -1499,7 +1458,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         tlb: ctx.platform.tlb_stats(),
         stolen,
         switchless,
-        prefill,
         prefetch: unit.prefetch().map(|r| r.stats()).unwrap_or_default(),
         prefetch_walk_cycles: unit.prefetch().map(|r| r.walk_cycles_spent()).unwrap_or(0),
         world_calls: ctx.platform.cpu().trace().count(TransitionKind::WorldCall) - calls_before,

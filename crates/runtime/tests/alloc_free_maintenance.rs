@@ -2,9 +2,9 @@
 //!
 //! Two steps run at every worker batch boundary: world-table
 //! maintenance and batch formation. An allocation in either is paid on
-//! nearly every call. This file counts heap allocations made on the
-//! test's own thread (a counting global allocator; std only) and
-//! asserts both steps make none once their buffers have grown:
+//! nearly every call. This file counts heap allocations (a counting
+//! global allocator; std only), per thread and process-wide, and
+//! asserts these steps make none once their buffers have grown:
 //!
 //! * `EpochWorldTable::maintain` passes over a table with nothing idle
 //!   to demote and nothing retired to free;
@@ -13,14 +13,23 @@
 //!   blocks and per-reader counters live in preallocated slots);
 //! * `Batcher` rounds — form every batch of a mixed-callee,
 //!   mixed-caller load, then split each into caller runs;
-//! * `RingSet::pop_biased` steals, which rank peer rings by their
-//!   queue-wait EWMAs on every pop.
+//! * trace-driven prefill, which checks the worker's call history
+//!   before every resident drain: a prefill-on switchless run makes
+//!   no more allocations than the same run with prefill off, bar the
+//!   history's own growth. Worker threads allocate there, so the
+//!   count is process-wide and the file's tests run one at a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use crossover::world::{Wid, WorldDescriptor};
-use xover_runtime::{Batcher, CallRequest, EpochWorldTable, MaintainOutcome, RingSet};
+use machine::rng::{SplitMix64, Zipf};
+use xover_runtime::{
+    Batcher, CallRequest, EpochWorldTable, MaintainOutcome, RingSet, RuntimeConfig,
+    SwitchlessConfig, WorldCallService,
+};
 
 struct Counting;
 
@@ -28,7 +37,11 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Allocations on every thread of the process.
+static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
 fn count() {
+    ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
     // `try_with`: allocations during thread teardown go uncounted.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
@@ -61,6 +74,13 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// Serializes this file's tests, so a process-wide count sees no other
+/// test's allocations.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Requests per round: three callees, each called by three callers,
 /// interleaved so every batch needs its caller runs regrouped.
 const ROUND: u64 = 36;
@@ -82,9 +102,7 @@ fn push_round(rings: &RingSet<CallRequest>) {
 fn drain_round(rings: &RingSet<CallRequest>, batcher: &mut Batcher<CallRequest>) -> u64 {
     let (mut taken, mut runs) = (0, 0);
     while taken < ROUND {
-        batcher
-            .next(rings, 0, false)
-            .expect("the round is still queued");
+        batcher.next(rings, 0).expect("the round is still queued");
         taken += batcher.items().len() as u64;
         batcher.group_by_caller();
         runs += batcher.group_count() as u64;
@@ -95,6 +113,7 @@ fn drain_round(rings: &RingSet<CallRequest>, batcher: &mut Batcher<CallRequest>)
 #[test]
 fn steady_state_maintenance_and_batch_formation_allocate_nothing() {
     const N: usize = 1_000;
+    let _serial = exclusive();
 
     let table = EpochWorldTable::new(1, 1 << 16);
     let wids: Vec<Wid> = (0..256u64)
@@ -148,6 +167,7 @@ fn steady_state_maintenance_and_batch_formation_allocate_nothing() {
 #[test]
 fn pinned_lookups_with_paced_maintenance_allocate_nothing() {
     const N: usize = 10_000;
+    let _serial = exclusive();
 
     let table = EpochWorldTable::new(1, 1 << 16);
     let wids: Vec<Wid> = (0..256u64)
@@ -191,33 +211,86 @@ fn pinned_lookups_with_paced_maintenance_allocate_nothing() {
     );
 }
 
+/// Calls in the prefill run: enough cold drains that one allocation
+/// each would dwarf the slack below.
+const PREFILL_CALLS: u64 = 3_000;
+
+/// Allocations a prefill-on run may make beyond the prefill-off run:
+/// the call history's growth to its fixed depth, plus room for the test
+/// harness's own thread reporting a finished test meanwhile.
+const PREFILL_SLACK: u64 = 16;
+
+/// Runs a seeded Zipf schedule over twelve worlds with switchless
+/// channels on one worker; returns the process-wide allocations it made
+/// and the prefill passes that ran.
+fn prefill_run(prefill: bool) -> (u64, u64) {
+    let mut svc = WorldCallService::new(RuntimeConfig {
+        workers: 1,
+        queue_capacity: PREFILL_CALLS as usize,
+        batch_max: 32,
+        // A fixed budget and no epoch boundary: both runs form the same
+        // batches and fold no controller snapshots.
+        switchless: SwitchlessConfig {
+            epoch_cycles: u64::MAX,
+            prefill,
+            ..SwitchlessConfig::fixed(8)
+        },
+        ..RuntimeConfig::default()
+    });
+    let mut worlds = Vec::new();
+    for t in 0..6u64 {
+        let vm = svc
+            .create_vm(hypervisor::vm::VmConfig::named(&format!("pf-{t}")))
+            .expect("create vm");
+        let user = svc
+            .register_guest_user(vm, 0x1000 * (t + 1), 0x40_0000)
+            .expect("register user world");
+        let kernel = svc
+            .register_guest_kernel(vm, 0x10_0000 * (t + 1), 0xFFFF_8000)
+            .expect("register kernel world");
+        for w in [user, kernel] {
+            svc.attach_working_set(w, vm, 8)
+                .expect("attach working set");
+            svc.attach_channel(w, vm).expect("attach channel");
+            worlds.push(w);
+        }
+    }
+    let zipf = Zipf::new(worlds.len(), 1.2);
+    let mut rng = SplitMix64::new(0x9F11);
+    let requests: Vec<CallRequest> = (0..PREFILL_CALLS)
+        .map(|_| {
+            let callee = worlds[zipf.sample(&mut rng)];
+            let caller = loop {
+                let w = worlds[zipf.sample(&mut rng)];
+                if w != callee {
+                    break w;
+                }
+            };
+            CallRequest::new(caller, callee, 800, 200)
+        })
+        .collect();
+    let before = ALL_ALLOCS.load(Ordering::Relaxed);
+    for req in requests {
+        svc.submit(req).expect("queue open");
+    }
+    svc.start();
+    let report = svc.drain();
+    let spent = ALL_ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(report.completed, PREFILL_CALLS);
+    (spent, report.switchless.prefill.runs)
+}
+
 #[test]
-fn biased_steals_allocate_nothing() {
-    const N: usize = 1_000;
-    const RINGS: usize = 4;
-
-    let rings: RingSet<u64> = RingSet::new(RINGS, 8);
-    // Ring 3 measurably waits longest; rings 1 and 2 tie at zero, so
-    // the victim order from home 0 is 3, then 1, then 2.
-    for _ in 0..64 {
-        rings.note_wait(3, 50_000);
-    }
-    let before = allocs();
-    let mut order = [0u64; RINGS - 1];
-    for round in 0..N as u64 {
-        for ring in 1..RINGS {
-            rings
-                .try_push(ring, ring as u64)
-                .expect("ring sized for a round");
-        }
-        for slot in &mut order {
-            let (item, stolen) = rings.pop_biased(0).expect("a peer holds an item");
-            assert!(stolen, "home ring 0 is empty: every pop steals");
-            *slot = item;
-        }
-        assert_eq!(order, [3, 1, 2], "victim order in round {round}");
-    }
-    let steals = allocs() - before;
-
-    assert_eq!(steals, 0, "{N} rounds of biased steals allocated");
+fn prefilled_drains_allocate_nothing() {
+    let _serial = exclusive();
+    let (off, _) = prefill_run(false);
+    let (on, runs) = prefill_run(true);
+    assert!(
+        runs > 10 * PREFILL_SLACK,
+        "only {runs} prefill passes: too few to tell an allocation per pass from slack"
+    );
+    assert!(
+        on <= off + PREFILL_SLACK,
+        "{runs} prefill passes allocated: {on} allocations with prefill, {off} without"
+    );
 }

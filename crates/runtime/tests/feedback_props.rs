@@ -1,30 +1,33 @@
-//! Feedback-plane properties: the profile-guided control loop's
-//! contract.
+//! Trace-driven prefill properties: the contract of the one
+//! closed-loop policy the switchless layer keeps.
 //!
-//! The plane's promise is that it is a *performance* policy, never a
-//! semantic one — and that its costs and savings are priced, not
-//! hand-waved. Four invariants pin that down:
+//! Prefill is a *performance* policy, never a semantic one, and its
+//! costs and savings are priced, not hand-waved. Five invariants pin
+//! that down:
 //!
 //! 1. **On/off verdict equivalence.** On identical pre-submitted
-//!    schedules driven by a single worker, the full closed loop
-//!    ([`FeedbackConfig::on`]) must produce the same per-request
-//!    verdicts, in the same order, as the open loop. Budgets, steal
-//!    bias and prefill may move cycles; they may not move outcomes.
-//! 2. **Off is the default, bit for bit.** `FeedbackConfig::off()` and
-//!    `FeedbackConfig::default()` runs are indistinguishable down to
-//!    the meters — the ablation path costs zero cycles.
-//! 3. **Prefill is semantically invisible and exactly priced.** With
-//!    only prefill enabled, verdicts are identical to the open loop and
-//!    the whole-run cycle delta is *exactly* the prefill's recorded
-//!    charges minus what they avoided: one
-//!    [`TransitionKind::WtcMissFault`] + [`TransitionKind::WtcFill`]
-//!    per WT/IWT miss the warming prevented, and (walk − hit) cycles
-//!    per lane page walked into the TLB up front.
+//!    schedules driven by a single worker under the adaptive
+//!    controller, prefill on must produce the same per-request
+//!    verdicts, in the same order, as prefill off. Prefill may move
+//!    cycles; it may not move outcomes.
+//! 2. **Off is the default, bit for bit.** `SwitchlessConfig::default()`
+//!    has prefill off, and a default run is cycle-identical to the
+//!    runtime before prefill moved onto `SwitchlessConfig` (golden
+//!    totals below).
+//! 3. **Prefill is semantically invisible and exactly priced.** Verdicts
+//!    are identical to the prefill-off run and the whole-run cycle delta
+//!    is *exactly* the prefill's recorded charges minus what they
+//!    avoided: one [`TransitionKind::WtcMissFault`] +
+//!    [`TransitionKind::WtcFill`] per WT/IWT miss the warming prevented,
+//!    and (walk − hit) cycles per lane page walked into the TLB up front.
 //! 4. **Convergence survives chaos.** Under seeded fault plans (worker
-//!    crashes, stalls, IPI loss, slot corruption) the latency-driven
-//!    controller still resolves every call exactly once and its budget
-//!    vector still reaches a fixed point it holds through the tail of
-//!    the run.
+//!    crashes, stalls, IPI loss, slot corruption) the heuristic
+//!    controller with prefill on still resolves every call exactly once
+//!    and its budget vector still reaches a fixed point it holds through
+//!    the tail of the run.
+//! 5. **The exported names hold.** A prefill-on run's Prometheus dump
+//!    carries the `xover_feedback_*` prefill and §5.1 register gauges
+//!    with the report's values, and nothing else under that prefix.
 
 use machine::cost::CostModel;
 use machine::fault::FaultPlan;
@@ -32,7 +35,7 @@ use machine::rng::{SplitMix64, Zipf};
 use machine::trace::TransitionKind;
 use mmu::tlb::{TLB_HIT_CYCLES, TWO_STAGE_WALK_CYCLES};
 use xover_runtime::{
-    converged, CallRequest, FeedbackConfig, RuntimeConfig, ServiceReport, SwitchlessConfig,
+    converged, metrics_registry, CallRequest, RuntimeConfig, ServiceReport, SwitchlessConfig,
     WorldCallService,
 };
 
@@ -50,7 +53,6 @@ const EPOCH_CYCLES: u64 = 60_000;
 /// switchless channels attached.
 fn build_service(
     switchless: SwitchlessConfig,
-    feedback: FeedbackConfig,
     workers: usize,
 ) -> (WorldCallService, Vec<crossover::world::Wid>) {
     let mut svc = WorldCallService::new(RuntimeConfig {
@@ -58,7 +60,6 @@ fn build_service(
         queue_capacity: CALLS as usize + 32,
         batch_max: 32,
         switchless,
-        feedback,
         ..RuntimeConfig::default()
     });
     let mut worlds = Vec::new();
@@ -116,14 +117,20 @@ fn adaptive() -> SwitchlessConfig {
     }
 }
 
+fn with_prefill(config: SwitchlessConfig) -> SwitchlessConfig {
+    SwitchlessConfig {
+        prefill: true,
+        ..config
+    }
+}
+
 fn run(
     switchless: SwitchlessConfig,
-    feedback: FeedbackConfig,
     seed: u64,
     workers: usize,
     plan: Option<FaultPlan>,
 ) -> ServiceReport {
-    let (mut svc, worlds) = build_service(switchless, feedback, workers);
+    let (mut svc, worlds) = build_service(switchless, workers);
     if let Some(plan) = plan {
         svc.set_fault_plan(plan);
     }
@@ -149,48 +156,54 @@ fn assert_verdicts_equal(a: &ServiceReport, b: &ServiceReport) {
     assert_eq!(a.failed, b.failed);
 }
 
-/// Invariant 1: the full closed loop moves cycles, never outcomes.
+/// Invariant 1: prefill moves cycles, never outcomes.
 #[test]
-fn feedback_on_preserves_verdicts_and_order() {
+fn prefill_on_preserves_verdicts_and_order() {
     for seed in SEEDS {
-        let off = run(adaptive(), FeedbackConfig::off(), seed, 1, None);
-        let on = run(adaptive(), FeedbackConfig::on(), seed, 1, None);
+        let off = run(adaptive(), seed, 1, None);
+        let on = run(with_prefill(adaptive()), seed, 1, None);
         assert_verdicts_equal(&off, &on);
         assert!(
-            on.feedback.prefill.runs > 0,
+            on.switchless.prefill.runs > 0,
             "seed {seed:#x}: the schedule must actually exercise prefill"
-        );
-        assert!(
-            !on.feedback.lanes.is_empty(),
-            "seed {seed:#x}: the controller must be profiling lanes"
         );
     }
 }
 
-/// Invariant 2: `off()` IS `default()` — identical meters, identical
-/// outcomes, no feedback state anywhere in the report.
+/// `(seed, total cycles)` of [`adaptive`] and `fixed(8)` runs with the
+/// default configuration, measured on the runtime before prefill moved
+/// onto `SwitchlessConfig` (one worker, so makespan == total).
+const DEFAULT_GOLDEN: [(u64, u64, u64); 3] = [
+    (0xFEED_0001, 1_577_835, 1_574_477),
+    (0x5EED_0002, 1_559_626, 1_557_866),
+    (0xFA11_BACC, 1_539_583, 1_540_124),
+];
+
+/// Invariant 2: the default has prefill off, and costs exactly what
+/// the runtime cost before the policy existed as a switch.
 #[test]
-fn feedback_off_is_bit_exact_default() {
-    for seed in SEEDS {
-        let off = run(adaptive(), FeedbackConfig::off(), seed, 1, None);
-        let default = run(adaptive(), FeedbackConfig::default(), seed, 1, None);
-        assert_verdicts_equal(&off, &default);
-        assert_eq!(off.smp.total_cycles(), default.smp.total_cycles());
-        assert_eq!(off.smp.makespan_cycles(), default.smp.makespan_cycles());
-        for r in [&off, &default] {
-            assert_eq!(r.feedback.prefill.runs, 0);
-            assert_eq!(r.feedback.prefill.walk_cycles, 0);
-            assert!(r.feedback.steal_wait_ewma.is_empty());
-            assert!(r.feedback.lanes.is_empty());
+fn prefill_off_is_bit_exact_default() {
+    assert!(!SwitchlessConfig::default().prefill);
+    assert!(!SwitchlessConfig::adaptive().prefill);
+    assert!(!SwitchlessConfig::fixed(8).prefill);
+    for (seed, adaptive_total, fixed_total) in DEFAULT_GOLDEN {
+        for (config, golden) in [
+            (adaptive(), adaptive_total),
+            (SwitchlessConfig::fixed(8), fixed_total),
+        ] {
+            let r = run(config, seed, 1, None);
+            assert_eq!(r.smp.total_cycles(), golden, "seed {seed:#x}");
+            assert_eq!(r.smp.makespan_cycles(), golden, "seed {seed:#x}");
+            assert_eq!(r.switchless.prefill, Default::default());
         }
     }
 }
 
 /// Invariant 3: prefill is exactly priced. Both runs use a *fixed*
 /// resident budget (no controller dynamics — an epoch closing at a
-/// shifted virtual time must not be able to move a budget), and only
-/// prefill is enabled, so the two schedules are identical and the
-/// whole-run cycle delta decomposes with no slack:
+/// shifted virtual time must not be able to move a budget), so the two
+/// schedules are identical and the whole-run cycle delta decomposes
+/// with no slack:
 ///
 /// ```text
 /// prefill_total - open_total ==
@@ -211,23 +224,12 @@ fn prefill_is_semantically_invisible_and_exactly_priced() {
     let miss_fault = model.price(TransitionKind::WtcMissFault).cycles as i128;
     let fill = model.price(TransitionKind::WtcFill).cycles as i128;
     let spec_walk = crossover::prefetch::SPECULATIVE_WALK_CYCLES as i128;
-    let prefill_only = FeedbackConfig {
-        budgets: false,
-        steal_bias: false,
-        ..FeedbackConfig::on()
-    };
     for seed in SEEDS {
-        let off = run(
-            SwitchlessConfig::fixed(8),
-            FeedbackConfig::off(),
-            seed,
-            1,
-            None,
-        );
-        let pf = run(SwitchlessConfig::fixed(8), prefill_only, seed, 1, None);
+        let off = run(SwitchlessConfig::fixed(8), seed, 1, None);
+        let pf = run(with_prefill(SwitchlessConfig::fixed(8)), seed, 1, None);
         assert_verdicts_equal(&off, &pf);
 
-        let stats = &pf.feedback.prefill;
+        let stats = &pf.switchless.prefill;
         assert!(stats.runs > 0, "seed {seed:#x}: prefill must fire");
         let misses_off = (off.wt.misses + off.iwt.misses) as i128;
         let misses_pf = (pf.wt.misses + pf.iwt.misses) as i128;
@@ -253,7 +255,7 @@ fn prefill_is_semantically_invisible_and_exactly_priced() {
     }
 }
 
-/// Invariant 4: chaos does not break the closed loop. Under seeded
+/// Invariant 4: chaos does not break the controller. Under seeded
 /// fault plans every call still resolves exactly once, and the
 /// controller still reaches a budget fixed point it holds through a
 /// stable stretch of the run's tail (strict end-of-run equality is too
@@ -264,7 +266,7 @@ fn controller_converges_under_seeded_chaos() {
     for seed in CHAOS_SEEDS {
         let plan = FaultPlan::from_seed(seed, 3_000_000, 3);
         assert!(!plan.is_empty(), "seeded plan must carry events");
-        let report = run(adaptive(), FeedbackConfig::on(), seed, 1, Some(plan));
+        let report = run(with_prefill(adaptive()), seed, 1, Some(plan));
 
         assert_eq!(
             report.outcomes.len() as u64,
@@ -290,10 +292,53 @@ fn controller_converges_under_seeded_chaos() {
         let tail = &history[history.len() / 2..];
         assert!(
             tail.windows(3).any(|w| converged(w, 3)),
-            "seed {seed:#x}: the latency-driven controller must reach a budget fixed \
+            "seed {seed:#x}: the controller must reach a budget fixed \
              point it holds for 3 consecutive epochs in the run's second half \
              ({} epochs total)",
             history.len()
         );
     }
+}
+
+/// The `xover_feedback_*` lines of a prefill-on, register-on adaptive
+/// run of `SEEDS[0]`, as the runtime exported them before prefill moved
+/// onto `SwitchlessConfig` (sorted, as the registry renders them).
+const PROMETHEUS_GOLDEN: [&str; 12] = [
+    "xover_feedback_enabled 1",
+    "xover_feedback_prefetch_register_hits 508",
+    "xover_feedback_prefetch_register_misses 455",
+    "xover_feedback_prefetch_useful_walks 508",
+    "xover_feedback_prefetch_useless_walks 0",
+    "xover_feedback_prefill_fills 96",
+    "xover_feedback_prefill_hit_rate_permille 590",
+    "xover_feedback_prefill_runs 91",
+    "xover_feedback_prefill_tlb_touches 20",
+    "xover_feedback_prefill_walk_cycles 50951",
+    "xover_feedback_prefill_warm_skips 131",
+    "xover_feedback_register_walk_cycles 91440",
+];
+
+/// Invariant 5: the prefill and register gauges keep their names and
+/// values, and the deleted per-lane and per-ring gauges stay gone.
+#[test]
+fn prefill_gauges_keep_their_prometheus_names() {
+    let config = SwitchlessConfig {
+        prefetch_register: true,
+        ..with_prefill(adaptive())
+    };
+    let report = run(config, SEEDS[0], 1, None);
+    let text = metrics_registry(&report).render_prometheus();
+    let exported: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("xover_feedback_"))
+        .collect();
+    assert_eq!(exported, PROMETHEUS_GOLDEN);
+    assert!(!text.contains("xover_feedback_lane"));
+    assert!(!text.contains("_wait_ewma_cycles"));
+
+    // Prefill off: the whole prefix stays out of the dump.
+    let off = run(adaptive(), SEEDS[0], 1, None);
+    assert!(!metrics_registry(&off)
+        .render_prometheus()
+        .contains("xover_feedback_"));
 }

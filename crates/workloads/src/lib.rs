@@ -17,7 +17,7 @@
 //!   tenant gateway past saturation.
 //! * [`shifting_hotspot`] — a Zipf popularity law whose hot callee set
 //!   rotates on a seeded virtual-time schedule, for exercising the
-//!   profile-guided feedback plane's re-convergence.
+//!   switchless controller's re-convergence and trace-driven prefill.
 //! * [`adversary`] — seeded adversarial-tenant schedules (forged and
 //!   replayed WIDs, quota and channel floods, confused-deputy chains,
 //!   WT/IWT set probes) for exercising the callee authorization plane.

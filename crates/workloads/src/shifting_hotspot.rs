@@ -8,8 +8,8 @@
 //! are hot changes every phase — rank `k` of the Zipf law is mapped
 //! through a per-phase seeded permutation of the callee set. A
 //! controller annealed onto phase `p`'s hot lanes must notice the
-//! regime shift at phase `p+1` and re-converge; per-callee budgets,
-//! victim-selection estimates and prefill traces all go stale at once.
+//! regime shift at phase `p+1` and re-converge; per-callee budgets and
+//! prefill traces go stale at once.
 //!
 //! Phases are *virtual-time* windows: the caller passes its current
 //! simulated clock to [`ShiftingHotspot::sample`], so the rotation

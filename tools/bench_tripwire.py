@@ -48,6 +48,12 @@ import sys
 # where one equal occurrence suffices; and there must be at least
 # `min occurrences` of them (default 1). Booleans compare as 1/0.
 GATES = {
+    # One occurrence per worker point of the serve_bench sweep.
+    "BENCH_runtime.json": [
+        ("**/failed", "==", 0, 4),
+        ("**/dead_lettered", "==", 0, 4),
+        ("**/ipi_dropped", "==", 0, 4),
+    ],
     "BENCH_hotpath.json": [
         ("tuned_cycles_per_call_4_workers", "<=", 2460.0),
     ],
